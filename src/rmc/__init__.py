@@ -74,7 +74,8 @@ from .oracle import (
 )
 from .procedures import (
     DEFAULT_BOUND,
-    PROPERTY_CHECKS,
+    PROPERTIES,
+    Property,
     check_af_bounded,
     check_agf_bounded,
     check_as_f_bounded,
@@ -88,10 +89,9 @@ from .procedures import (
     run_check,
 )
 from .report import Report, format_word, parse_word
-from .rts import CheckResult, PropertyGoal, Rts, ValidationReport, validate
+from .rts import CheckResult, PropertyGoal, Rts, ValidationReport
 from .transducer import (
     Transducer,
-    convolution_language,
     diagonal,
     identity,
     identity_on,

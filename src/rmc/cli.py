@@ -28,24 +28,11 @@ from .errors import ParseError, RmcError
 from .formats import load_automaton, load_rts_bundle, save_automaton, serialize_automaton
 from .nfa import Nfa
 from .oracle import SimulationConfig, build_slice, dump_slice, oracle_check, simulate
-from .procedures import DEFAULT_BOUND, PROPERTY_CHECKS, run_check
+from .procedures import DEFAULT_BOUND, PROPERTIES, run_check
 from .report import Report, parse_word
 from .rts import PropertyGoal, Rts
 from .transducer import Transducer
 from .verdict import Outcome, Verdict, Witness
-
-#: CLI property names accepted by ``oracle --property``, mapped to the
-#: oracle's internal names.
-ORACLE_PROPERTIES = {
-    "ef": "EF",
-    "egf": "EGF",
-    "af": "AF",
-    "agf": "AGF",
-    "as-f": "ASF",
-    "as-gf": "ASGF",
-    "as-term": "AST",
-    "deadlock-free": "DF",
-}
 
 
 def _data_root() -> Path:
@@ -166,7 +153,7 @@ def _cmd_oracle(args, started: float) -> int:
     slice_ = build_slice(loaded.rts, args.length)
     if args.dump_slice:
         Path(args.dump_slice).write_text(dump_slice(slice_), encoding="utf-8")
-    answer, witness = oracle_check(slice_, ORACLE_PROPERTIES[args.property], goal)
+    answer, witness = oracle_check(slice_, PROPERTIES[args.property].oracle, goal)
     verdict = Verdict(
         Outcome.HOLDS if answer else Outcome.FAILS,
         witness=witness,
@@ -280,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     check = sub.add_parser("check", help="run a decision procedure on a bundle")
-    check.add_argument("property", choices=PROPERTY_CHECKS)
+    check.add_argument("property", choices=tuple(PROPERTIES))
     check.add_argument("--rts", required=True, help="bundle file or shipped bundle name")
     check.add_argument("--goal", help="goal language (file or name next to the bundle)")
     check.add_argument("--basis", choices=("exact", "potential"), default="exact")
@@ -304,7 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="explicit-state ground truth for one length")
     oracle.add_argument("--rts", required=True)
     oracle.add_argument("--length", type=int, required=True)
-    oracle.add_argument("--property", required=True, choices=sorted(ORACLE_PROPERTIES))
+    oracle.add_argument(
+        "--property",
+        required=True,
+        choices=sorted(name for name, prop in PROPERTIES.items() if prop.oracle),
+    )
     oracle.add_argument("--goal")
     oracle.add_argument("--dump-slice", help="also write the slice's graph to this file")
     add_json(oracle)

@@ -17,7 +17,7 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .alphabet import Alphabet, Word
-from .errors import AlphabetMismatch, StateCapExceeded
+from .errors import AlphabetMismatch, RmcError, StateCapExceeded
 
 State = Hashable
 
@@ -28,9 +28,15 @@ def _state_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get("RMC_STATE_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_STATE_CAP
+    if not env:
+        return DEFAULT_STATE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise RmcError(f"RMC_STATE_CAP must be a positive integer, got {env!r}")
+    return cap
 
 
 class Nfa:
@@ -135,7 +141,7 @@ class Nfa:
 
         Returns None when the language is empty.
         """
-        found = _search(self, [], lambda pos_final, hits: pos_final)
+        found = constrained_search(self, [], lambda pos_final, hits: pos_final)
         return found
 
     def is_empty(self) -> bool:
@@ -294,7 +300,7 @@ class Nfa:
         shortest word accepted by ``other`` but not by ``self``.
         """
         self._check_same_alphabet(other)
-        counterexample = _search(
+        counterexample = constrained_search(
             other, [self], lambda pos_final, hits: pos_final and not hits[0]
         )
         if counterexample is None:
@@ -348,11 +354,10 @@ class Nfa:
 # -- on-the-fly product search ------------------------------------------------------
 
 
-def _search(
+def constrained_search(
     pos: Nfa,
     dets: Sequence[Nfa],
     accept: Callable[[bool, tuple], bool],
-    cap: int | None = None,
 ) -> tuple | None:
     """Shortest word w in L(pos) filtered by determinized side conditions.
 
@@ -368,7 +373,7 @@ def _search(
     for d in dets:
         if d.alphabet != pos.alphabet:
             raise AlphabetMismatch("search operands have different alphabets")
-    cap = _state_cap(cap)
+    cap = _state_cap(None)
 
     det_infos = []
     for d in dets:
@@ -440,15 +445,6 @@ def _search(
                     return tuple(reversed(word))
                 queue.append(child)
     return None
-
-
-def constrained_search(
-    pos: Nfa,
-    dets: Sequence[Nfa],
-    accept: Callable[[bool, tuple], bool],
-) -> tuple | None:
-    """Public wrapper around the lazy product search (see :func:`_search`)."""
-    return _search(pos, dets, accept)
 
 
 # -- stock automata ------------------------------------------------------------------

@@ -11,12 +11,12 @@ back into transducer form.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import graph
 from .alphabet import Alphabet, Word, convolve
 from .errors import CapExceeded, NotLengthPreserving, SuccessorCapExceeded
 from .nfa import Nfa
@@ -52,61 +52,6 @@ class FiniteSlice:
         """A trivial bottom SCC is a single terminating configuration."""
         members = self.sccs[scc_index]
         return len(members) == 1 and not self.edges[members[0]]
-
-
-def _tarjan(n: int, edges: Sequence[Sequence[int]]):
-    """Iterative Tarjan; SCCs come out sinks-first (reverse topological)."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[tuple[int, ...]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[list[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            v, ptr = frame
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            out = edges[v]
-            while frame[1] < len(out):
-                w = out[frame[1]]
-                frame[1] += 1
-                if index[w] == -1:
-                    work.append([w, 0])
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                members = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    members.append(w)
-                    if w == v:
-                        break
-                sccs.append(tuple(sorted(members)))
-    scc_of = [0] * n
-    for si, members in enumerate(sccs):
-        for v in members:
-            scc_of[v] = si
-    return tuple(sccs), tuple(scc_of)
 
 
 def _config_successors(delta: Transducer, coreach: set, config: Word) -> list[Word]:
@@ -163,7 +108,7 @@ def build_slice(rts: Rts, length: int, config_cap: int = DEFAULT_CONFIG_CAP) -> 
     edges = tuple(edges)
 
     initial = frozenset(i for i, c in enumerate(configurations) if rts.initial.accepts(c))
-    sccs, scc_of = _tarjan(len(configurations), edges)
+    sccs, scc_of = graph.tarjan(len(configurations), edges)
     bottom = set()
     for si, members in enumerate(sccs):
         inside = set(members)
@@ -181,45 +126,6 @@ def build_slice(rts: Rts, length: int, config_cap: int = DEFAULT_CONFIG_CAP) -> 
     )
 
 
-# -- graph helpers -------------------------------------------------------------
-
-
-def _bfs(slice_: FiniteSlice, starts: Iterable[int], allowed=None):
-    """Shortest-path forest from ``starts``; returns (order, parents).
-
-    ``allowed`` optionally restricts both the start set and the nodes the
-    search may enter.
-    """
-    parents: dict[int, int | None] = {}
-    order: list[int] = []
-    queue: deque[int] = deque()
-    for s in sorted(starts):
-        if allowed is not None and s not in allowed:
-            continue
-        if s not in parents:
-            parents[s] = None
-            order.append(s)
-            queue.append(s)
-    while queue:
-        v = queue.popleft()
-        for w in slice_.edges[v]:
-            if allowed is not None and w not in allowed:
-                continue
-            if w not in parents:
-                parents[w] = v
-                order.append(w)
-                queue.append(w)
-    return order, parents
-
-
-def _path_to(parents: dict, v: int) -> list[int]:
-    path = [v]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
-
-
 def _witness(slice_: FiniteSlice, nodes: Sequence[int], kind: str = "path", loop_start=None) -> Witness:
     return Witness(
         kind=kind,
@@ -228,13 +134,21 @@ def _witness(slice_: FiniteSlice, nodes: Sequence[int], kind: str = "path", loop
     )
 
 
+def _lasso(slice_: FiniteSlice, prefix: list[int], inside: set):
+    """Close ``prefix`` with a shortest cycle from its last node back to it
+    inside ``inside``; returns (nodes, loop_start).  By convention the last
+    configuration of a lasso steps back to ``loop_start``, so the return to
+    the entry node is not repeated."""
+    cycle = graph.cycle_through(slice_.edges, prefix[-1], inside)
+    return prefix + cycle[:-1], len(prefix) - 1
+
+
 def _cycle_search(slice_: FiniteSlice, starts: set, allowed: set):
     """Find a lasso inside ``allowed``: a path from ``starts`` to a cycle.
 
-    Returns (path_nodes, loop_start) or None.  The cycle is witnessed by
-    repeating its entry node at the end of the path.
+    Returns (path_nodes, loop_start) or None.
     """
-    order, parents = _bfs(slice_, starts, allowed)
+    order, parents = graph.bfs(slice_.edges, starts, allowed)
     reachable = set(order)
     if not reachable:
         return None
@@ -245,19 +159,12 @@ def _cycle_search(slice_: FiniteSlice, starts: set, allowed: set):
         [local[w] for w in slice_.edges[v] if w in reachable]
         for v in nodes
     ]
-    sccs, _scc_of = _tarjan(len(nodes), sub_edges)
+    sccs, _scc_of = graph.tarjan(len(nodes), sub_edges)
     for members in sccs:
         real = [nodes[i] for i in members]
         if len(real) > 1 or real[0] in slice_.edges[real[0]]:
             entry = min(real)
-            prefix = _path_to(parents, entry)
-            # close a cycle from entry back to entry inside the SCC
-            # close the cycle but drop the repeated entry node: by convention
-            # the last configuration of a lasso steps back to loop_start
-            inside = set(real)
-            _o, p2 = _bfs(slice_, slice_.edges[entry], inside)
-            cycle = _path_to(p2, entry)[:-1] if entry in p2 else []
-            return prefix + cycle, len(prefix) - 1
+            return _lasso(slice_, graph.path_to(parents, entry), set(real))
     return None
 
 
@@ -287,37 +194,32 @@ def oracle_check(
     initial = slice_.initial
 
     if prop == "EF":
-        order, parents = _bfs(slice_, initial)
+        order, parents = graph.bfs(slice_.edges, initial)
         for v in order:
             if v in in_goal:
-                return True, _witness(slice_, _path_to(parents, v))
+                return True, _witness(slice_, graph.path_to(parents, v))
         return False, None
 
     if prop == "EGF":
-        order, parents = _bfs(slice_, initial)
+        order, parents = graph.bfs(slice_.edges, initial)
         reachable = set(order)
         for g in sorted(in_goal):
             if g not in reachable:
                 continue
             scc = slice_.sccs[slice_.scc_of[g]]
             if len(scc) > 1 or g in slice_.edges[g]:
-                prefix = _path_to(parents, g)
-                inside = set(scc)
-                _o, p2 = _bfs(slice_, slice_.edges[g], inside)
-                cycle = _path_to(p2, g)[:-1] if g in p2 else []
-                return True, _witness(
-                    slice_, prefix + cycle, kind="lasso", loop_start=len(prefix) - 1
-                )
+                nodes, loop_start = _lasso(slice_, graph.path_to(parents, g), set(scc))
+                return True, _witness(slice_, nodes, kind="lasso", loop_start=loop_start)
         return False, None
 
     if prop == "AF":
         avoid_ok = set(range(n)) - in_goal
         starts = set(initial) - in_goal
         # a maximal goal-free path ending in a terminating configuration
-        order, parents = _bfs(slice_, starts, avoid_ok)
+        order, parents = graph.bfs(slice_.edges, starts, avoid_ok)
         for v in order:
             if slice_.is_terminating(v):
-                return False, _witness(slice_, _path_to(parents, v))
+                return False, _witness(slice_, graph.path_to(parents, v))
         found = _cycle_search(slice_, starts, avoid_ok)
         if found is not None:
             nodes, loop_start = found
@@ -328,12 +230,12 @@ def oracle_check(
         # only a reachable goal-avoiding cycle counts against repeated
         # reachability; runs that die out are judged by AST and ASGF instead
         avoid_ok = set(range(n)) - in_goal
-        closure, closure_parents = _bfs(slice_, initial)
+        closure, closure_parents = graph.bfs(slice_.edges, initial)
         starts = set(closure) - in_goal
         found = _cycle_search(slice_, starts, avoid_ok)
         if found is not None:
             nodes, loop_start = found
-            stem = _path_to(closure_parents, nodes[0])
+            stem = graph.path_to(closure_parents, nodes[0])
             full = stem + nodes[1:]
             return False, _witness(
                 slice_, full, kind="lasso", loop_start=loop_start + len(stem) - 1
@@ -343,18 +245,18 @@ def oracle_check(
     if prop == "ASF":
         avoid_ok = set(range(n)) - in_goal
         starts = set(initial) - in_goal
-        order, parents = _bfs(slice_, starts, avoid_ok)
+        order, parents = graph.bfs(slice_.edges, starts, avoid_ok)
         goal_free_bottom = {
             si for si in slice_.bottom_sccs
             if not (set(slice_.sccs[si]) & in_goal)
         }
         for v in order:
             if slice_.scc_of[v] in goal_free_bottom:
-                return False, _witness(slice_, _path_to(parents, v))
+                return False, _witness(slice_, graph.path_to(parents, v))
         return True, None
 
     if prop == "ASGF":
-        order, parents = _bfs(slice_, initial)
+        order, parents = graph.bfs(slice_.edges, initial)
         reachable = set(order)
         for si in sorted(slice_.bottom_sccs):
             members = set(slice_.sccs[si])
@@ -362,24 +264,24 @@ def oracle_check(
                 continue
             if slice_.is_trivial_bscc(si) or not (members & in_goal):
                 entry = next(v for v in order if v in members)
-                return False, _witness(slice_, _path_to(parents, entry))
+                return False, _witness(slice_, graph.path_to(parents, entry))
         return True, None
 
     if prop == "AST":
-        order, parents = _bfs(slice_, initial)
+        order, parents = graph.bfs(slice_.edges, initial)
         reachable = set(order)
         for si in sorted(slice_.bottom_sccs):
             members = set(slice_.sccs[si])
             if members & reachable and not slice_.is_trivial_bscc(si):
                 entry = next(v for v in order if v in members)
-                return False, _witness(slice_, _path_to(parents, entry))
+                return False, _witness(slice_, graph.path_to(parents, entry))
         return True, None
 
     # DF: no reachable terminating configuration
-    order, parents = _bfs(slice_, initial)
+    order, parents = graph.bfs(slice_.edges, initial)
     for v in order:
         if slice_.is_terminating(v):
-            return False, _witness(slice_, _path_to(parents, v))
+            return False, _witness(slice_, graph.path_to(parents, v))
     return True, None
 
 
@@ -390,7 +292,7 @@ def slice_closure(slice_: FiniteSlice) -> frozenset[tuple[Word, Word]]:
     """The reflexive-transitive closure of the slice edges, as word pairs."""
     pairs = set()
     for i, c in enumerate(slice_.configurations):
-        order, _parents = _bfs(slice_, [i])
+        order, _parents = graph.bfs(slice_.edges, [i])
         for j in order:
             pairs.add((c, slice_.configurations[j]))
     return frozenset(pairs)

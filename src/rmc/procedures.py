@@ -14,10 +14,15 @@ hops are reachability-relation hops; each verdict's note says which.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
+from typing import Callable
+
+from . import graph
 from .alphabet import Word
-from .errors import AlphabetMismatch, NotLengthPreserving
+from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, RmcError
 from .nfa import Nfa, constrained_search, length_automaton, word_automaton
-from .oracle import _bfs, _path_to, _tarjan, build_slice, oracle_check
+from .oracle import build_slice, oracle_check
 from .rts import Rts
 from .transducer import (
     Transducer,
@@ -32,23 +37,6 @@ DEFAULT_BOUND = 8
 
 _WITNESS_SLICE_CAP = 65536
 
-PROPERTY_CHECKS = (
-    "ef",
-    "egf",
-    "egf-loop",
-    "egf-clique",
-    "af",
-    "agf",
-    "as-f",
-    "as-gf",
-    "as-term",
-    "deadlock-free",
-)
-
-_NEEDS_GOAL = frozenset(
-    ("ef", "egf", "egf-loop", "egf-clique", "af", "agf", "as-f", "as-gf")
-)
-
 
 def _check_goal(rts: Rts, goal: Nfa) -> None:
     if goal.alphabet != rts.alphabet:
@@ -62,9 +50,9 @@ def _locate(rts: Rts, target: Word, basis: str) -> Witness:
     if rts.length_preserving and len(rts.alphabet) ** len(target) <= _WITNESS_SLICE_CAP:
         slice_ = build_slice(rts, len(target), config_cap=_WITNESS_SLICE_CAP)
         index = slice_.index_of(target)
-        _order, parents = _bfs(slice_, slice_.initial)
+        _order, parents = graph.bfs(slice_.edges, slice_.initial)
         if index in parents:
-            nodes = _path_to(parents, index)
+            nodes = graph.path_to(parents, index)
             return Witness(
                 "path", tuple(slice_.configurations[i] for i in nodes)
             )
@@ -188,64 +176,21 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     final = chain.final
     symbols = sigma.symbols
 
-    reach_step: dict = {}
-    for (q, sym), dsts in reach_lang.transitions.items():
-        reach_step.setdefault((q, sym), []).extend(dsts)
-
-    # stage-one exploration: read a reachable word on the top track while
-    # running the chain relation against a same-length prospective prefix
-    # on the bottom track, and the prefix against itself diagonally
-    triple_parents: dict = {}
-    queue: list = []
-    for s in reach_lang.initial:
-        for b in chain.initial:
-            for c in chain.initial:
-                state = (s, b, c)
-                if state not in triple_parents:
-                    triple_parents[state] = (None, None)
-                    queue.append(state)
-    entry_nodes: dict = {}
-    head = 0
-    while head < len(queue):
-        s, b, c = queue[head]
-        head += 1
-        if s in reach_lang.final:
-            entry_nodes.setdefault((b, c), (s, b, c))
-        for x in symbols:
-            s_next = reach_step.get((s, x))
-            if not s_next:
-                continue
-            for y in symbols:
-                b_next = real.get((b, x, y))
-                if not b_next:
-                    continue
-                c_next = real.get((c, y, y))
-                if not c_next:
-                    continue
-                for s2 in s_next:
-                    for b2 in b_next:
-                        for c2 in c_next:
-                            state = (s2, b2, c2)
-                            if state not in triple_parents:
-                                triple_parents[state] = ((s, b, c), (x, y))
-                                queue.append(state)
-
-    if not entry_nodes:
-        return fails(note="no reachable configuration starts a comb")
-
-    def edges_from(node):
-        q1, q2 = node
-        start = (q1, q2, q2)
-        parents = {start: (None, None)}
-        frontier = [start]
-        out: dict = {}
+    def explore(parents: dict, labels: dict, first_step: dict):
+        """Breadth-first from the roots in ``parents`` over state triples:
+        the first component reads a top-track letter x through
+        ``first_step``, the second runs the chain relation from x to a
+        bottom-track letter y, and the third runs it diagonally on y.
+        Yields every edge as (source, target, (x, y)) and records the tree
+        edge into each newly found state in ``parents`` and ``labels``."""
+        queue = list(parents)
         head = 0
-        while head < len(frontier):
-            source = frontier[head]
-            a, b, c = source
+        while head < len(queue):
+            source = queue[head]
             head += 1
+            a, b, c = source
             for x in symbols:
-                a_next = pad_bottom.get((a, x))
+                a_next = first_step.get((a, x))
                 if not a_next:
                     continue
                 for y in symbols:
@@ -255,45 +200,62 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
                     c_next = real.get((c, y, y))
                     if not c_next:
                         continue
-                    for a2 in a_next:
-                        for b2 in b_next:
-                            for c2 in c_next:
-                                state = (a2, b2, c2)
-                                if a2 in final and (b2, c2) not in out:
-                                    xs = [x]
-                                    ys = [y]
-                                    cursor = source
-                                    while parents[cursor][0] is not None:
-                                        cursor, letters = parents[cursor]
-                                        xs.append(letters[0])
-                                        ys.append(letters[1])
-                                    xs.reverse()
-                                    ys.reverse()
-                                    out[(b2, c2)] = (tuple(xs), tuple(ys))
-                                if state not in parents:
-                                    parents[state] = (source, (x, y))
-                                    frontier.append(state)
+                    for target in itertools.product(a_next, b_next, c_next):
+                        yield source, target, (x, y)
+                        if target not in parents:
+                            parents[target] = source
+                            labels[target] = (x, y)
+                            queue.append(target)
+
+    def spelled(parents: dict, labels: dict, state) -> tuple[Word, Word]:
+        """The top- and bottom-track words read on the way into ``state``."""
+        letters = [labels[v] for v in graph.path_to(parents, state)[1:]]
+        return tuple(x for x, _y in letters), tuple(y for _x, y in letters)
+
+    # stage one: read a reachable word on the top track while running the
+    # chain relation against a same-length prospective prefix on the bottom
+    # track, and the prefix against itself diagonally
+    stage_parents = dict.fromkeys(
+        itertools.product(reach_lang.initial, chain.initial, chain.initial)
+    )
+    stage_labels: dict = {}
+    for _edge in explore(stage_parents, stage_labels, reach_lang.transitions):
+        pass
+    entry_nodes: dict = {}
+    for s, b, c in stage_parents:
+        if s in reach_lang.final:
+            entry_nodes.setdefault((b, c), (s, b, c))
+    if not entry_nodes:
+        return fails(note="no reachable configuration starts a comb")
+
+    def edges_from(node):
+        q1, q2 = node
+        parents: dict = {(q1, q2, q2): None}
+        labels: dict = {}
+        out: dict = {}
+        for source, (a2, b2, c2), (x, y) in explore(parents, labels, pad_bottom):
+            if a2 in final and (b2, c2) not in out:
+                xs, ys = spelled(parents, labels, source)
+                out[(b2, c2)] = (xs + (x,), ys + (y,))
         return out
 
     # stage two: saturate the comb graph from the entry nodes
-    graph: dict = {}
+    comb: dict = {}
     pending = sorted(entry_nodes)
     seen = set(pending)
     while pending:
         node = pending.pop()
         labelled = edges_from(node)
-        graph[node] = labelled
+        comb[node] = labelled
         for target in labelled:
             if target not in seen:
                 seen.add(target)
                 pending.append(target)
 
-    nodes = sorted(graph)
+    nodes = sorted(comb)
     position = {node: i for i, node in enumerate(nodes)}
-    adjacency = [
-        sorted(position[t] for t in graph[node]) for node in nodes
-    ]
-    sccs, scc_of = _tarjan(len(nodes), adjacency)
+    adjacency = [sorted(position[t] for t in comb[node]) for node in nodes]
+    sccs, scc_of = graph.tarjan(len(nodes), adjacency)
     cyclic = {
         si
         for si, members in enumerate(sccs)
@@ -302,72 +264,20 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     if not cyclic:
         return fails(note="no comb of reachable configurations can grow forever")
 
-    # shortest node path from an entry node into a cyclic component
-    node_parents: dict = {}
-    order: list = []
-    for node in sorted(entry_nodes):
-        node_parents[node] = None
-        order.append(node)
-    head = 0
-    pivot = None
-    while head < len(order):
-        node = order[head]
-        head += 1
-        if scc_of[position[node]] in cyclic:
-            pivot = node
-            break
-        for target in sorted(graph[node]):
-            if target not in node_parents:
-                node_parents[target] = node
-                order.append(target)
-    node_path = [pivot]
-    while node_parents[node_path[-1]] is not None:
-        node_path.append(node_parents[node_path[-1]])
-    node_path.reverse()
+    # the shortest node path from an entry node into a cyclic component,
+    # then one lap around that component back to the node it entered by
+    order, parents = graph.bfs(adjacency, [position[node] for node in entry_nodes])
+    pivot = next(v for v in order if scc_of[v] in cyclic)
+    path = graph.path_to(parents, pivot) + graph.cycle_through(
+        adjacency, pivot, set(sccs[scc_of[pivot]])
+    )
 
-    # one lap around the pivot's component, found backwards from the pivot
-    component = {nodes[i] for i in sccs[scc_of[position[pivot]]]}
-    lap_parents: dict = {}
-    lap_order: list = []
-    for target in sorted(graph[pivot]):
-        if target in component and target not in lap_parents:
-            lap_parents[target] = None
-            lap_order.append(target)
-    head = 0
-    while lap_order[head] != pivot:
-        node = lap_order[head]
-        head += 1
-        for target in sorted(graph[node]):
-            if target in component and target not in lap_parents:
-                lap_parents[target] = node
-                lap_order.append(target)
-    lap = [pivot]
-    while lap_parents[lap[-1]] is not None:
-        lap.append(lap_parents[lap[-1]])
-    lap.reverse()
-
-    labels = []
-    for a, b in zip(node_path, node_path[1:]):
-        labels.append(graph[a][b])
-    previous = pivot
-    for node in lap:
-        labels.append(graph[previous][node])
-        previous = node
-
-    # decode the first configuration and prefix from the stage-one forest
-    start_state = entry_nodes[node_path[0]]
-    xs: list[str] = []
-    ys: list[str] = []
-    cursor = start_state
-    while triple_parents[cursor][0] is not None:
-        cursor, letters = triple_parents[cursor]
-        xs.append(letters[0])
-        ys.append(letters[1])
-    xs.reverse()
-    ys.reverse()
-    configurations = [tuple(xs)]
-    prefix = tuple(ys)
-    for c_word, d_word in labels:
+    configuration, prefix = spelled(
+        stage_parents, stage_labels, entry_nodes[nodes[path[0]]]
+    )
+    configurations = [configuration]
+    for v, w in zip(path, path[1:]):
+        c_word, d_word = comb[nodes[v]][nodes[w]]
         configurations.append(prefix + c_word)
         prefix = prefix + d_word
     return holds(
@@ -480,8 +390,8 @@ def _replay(rts: Rts, witness: Witness) -> None:
         steps.append((configs[-1], configs[witness.loop_start]))
     for before, after in steps:
         if not rts.delta.accepts_pair(before, after):
-            raise AssertionError(
-                f"witness step {before} to {after} is not a system step"
+            raise RmcError(
+                f"internal error: witness step {before} to {after} is not a system step"
             )
 
 
@@ -498,7 +408,12 @@ def _bounded(rts: Rts, prop: str, goal: Nfa | None, bound: int) -> Verdict:
         ).is_empty()
         if not has_initial:
             continue
-        satisfied, witness = oracle_check(build_slice(rts, n), prop, goal)
+        try:
+            satisfied, witness = oracle_check(build_slice(rts, n), prop, goal)
+        except CapExceeded as err:
+            return unknown(
+                bound=n - 1, note=f"no violation up to length {n - 1}; length {n}: {err}"
+            )
         if not satisfied:
             _replay(rts, witness)
             return fails(witness=witness, bound=n)
@@ -530,6 +445,52 @@ def check_as_f_bounded(rts: Rts, goal: Nfa, bound: int = DEFAULT_BOUND) -> Verdi
 # -- dispatch --------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Property:
+    """A property ``run_check`` can decide, under its command-line name.
+
+    ``oracle`` names the :func:`~rmc.oracle.oracle_check` decider that
+    answers the same question on one slice, or is None for a single route
+    of a check.  ``run(rts, goal, basis, bound)`` runs the check.
+    """
+
+    needs_goal: bool
+    oracle: str | None
+    run: Callable[[Rts, Nfa | None, str, int], Verdict]
+
+
+# The entries call the checks through their module-level names, so a
+# check replaced on this module (say, by a profiler) is the one that runs.
+PROPERTIES: dict[str, Property] = {
+    "ef": Property(True, "EF", lambda rts, goal, basis, bound: check_ef(rts, goal, basis)),
+    "egf": Property(True, "EGF", lambda rts, goal, basis, bound: check_egf(rts, goal, basis)),
+    "egf-loop": Property(
+        True, None, lambda rts, goal, basis, bound: check_egf_loop(rts, goal, basis)
+    ),
+    "egf-clique": Property(
+        True, None, lambda rts, goal, basis, bound: check_egf_clique(rts, goal, basis)
+    ),
+    "af": Property(
+        True, "AF", lambda rts, goal, basis, bound: check_af_bounded(rts, goal, bound)
+    ),
+    "agf": Property(
+        True, "AGF", lambda rts, goal, basis, bound: check_agf_bounded(rts, goal, bound)
+    ),
+    "as-f": Property(
+        True, "ASF", lambda rts, goal, basis, bound: check_as_f_bounded(rts, goal, bound)
+    ),
+    "as-gf": Property(
+        True, "ASGF", lambda rts, goal, basis, bound: check_as_gf(rts, goal, basis)
+    ),
+    "as-term": Property(
+        False, "AST", lambda rts, goal, basis, bound: check_as_termination(rts, basis)
+    ),
+    "deadlock-free": Property(
+        False, "DF", lambda rts, goal, basis, bound: check_deadlock_freedom(rts, basis)
+    ),
+}
+
+
 def run_check(
     rts: Rts,
     property_name: str,
@@ -540,28 +501,11 @@ def run_check(
     """Dispatch a property check by name; the command line goes through
     here so the names are part of the interface."""
     name = property_name.lower()
-    if name not in PROPERTY_CHECKS:
+    prop = PROPERTIES.get(name)
+    if prop is None:
         raise ValueError(
-            f"unknown property {property_name!r}; expected one of {PROPERTY_CHECKS}"
+            f"unknown property {property_name!r}; expected one of {tuple(PROPERTIES)}"
         )
-    if name in _NEEDS_GOAL and goal is None:
+    if prop.needs_goal and goal is None:
         raise ValueError(f"property {name!r} needs a goal language")
-    if name == "ef":
-        return check_ef(rts, goal, basis)
-    if name == "egf":
-        return check_egf(rts, goal, basis)
-    if name == "egf-loop":
-        return check_egf_loop(rts, goal, basis)
-    if name == "egf-clique":
-        return check_egf_clique(rts, goal, basis)
-    if name == "af":
-        return check_af_bounded(rts, goal, bound)
-    if name == "agf":
-        return check_agf_bounded(rts, goal, bound)
-    if name == "as-f":
-        return check_as_f_bounded(rts, goal, bound)
-    if name == "as-gf":
-        return check_as_gf(rts, goal, basis)
-    if name == "as-term":
-        return check_as_termination(rts, basis)
-    return check_deadlock_freedom(rts, basis)
+    return prop.run(rts, goal, basis, bound)

@@ -138,44 +138,3 @@ def from_verdict(
         note=verdict.note,
     )
 
-
-def from_json(text: str) -> Report:
-    data = json.loads(text)
-    witness = None
-    if data.get("witness") is not None:
-        w = data["witness"]
-        witness = Witness(
-            kind=w["kind"],
-            configurations=tuple(parse_word(c) for c in w["configurations"]),
-            loop_start=w.get("loop_start"),
-        )
-    checks = tuple(
-        CheckResult(
-            name=c["name"],
-            passed=c["passed"],
-            counterexample=(
-                None
-                if c.get("counterexample") is None
-                else tuple(parse_word(w) for w in c["counterexample"])
-            ),
-        )
-        for c in data.get("checks", ())
-    )
-    stats = None
-    if data.get("stats") is not None:
-        s = data["stats"]
-        stats = SimulationStats(
-            runs=s["runs"],
-            goal_hit_frequency=s["goal_hit_frequency"],
-            termination_frequency=s["termination_frequency"],
-            mean_steps_to_absorption=s["mean_steps_to_absorption"],
-        )
-    return Report(
-        command=data["command"],
-        outcome=None if data["outcome"] is None else Outcome(data["outcome"]),
-        witness=witness,
-        bound_used=data.get("bound_used"),
-        checks=checks,
-        stats=stats,
-        elapsed_ms=data.get("elapsed_ms", 0),
-    )

@@ -5,7 +5,8 @@ transducer and, optionally, transducers for the reachability relation
 (``reach``) and a reflexive-transitive overapproximation (``preach``).
 Both relations are consumed as inputs, never computed: the toolkit checks
 necessary conditions on them (see :meth:`Rts.validate`) but cannot verify
-that a claimed ``reach`` is complete.
+that a claimed ``reach`` holds no pair beyond the reflexive-transitive
+closure of the step relation.
 """
 
 from __future__ import annotations
@@ -125,11 +126,13 @@ class Rts:
         return tuple(words), truncated
 
     def validate(self) -> ValidationReport:
-        """Necessary structural checks; cannot prove a reach relation complete.
+        """Necessary structural checks; cannot prove a reach relation exact.
 
         Verifies padding validity of every transducer, that a
         length-preserving system has a length-preserving reach, and that a
-        supplied reach contains both the identity and the step relation.
+        supplied reach contains the identity and the step relation and is
+        closed under taking one more step.  Together the identity and the
+        closure make reach contain every run of the system.
         """
         checks: list[CheckResult] = []
 
@@ -163,8 +166,8 @@ class Rts:
             checks.append(
                 CheckResult("delta-within-reach", ok, None if ok else unconvolve(cex))
             )
+            ok, cex = self.reach.includes(self.reach.compose(self.delta))
+            checks.append(
+                CheckResult("reach-closed-under-delta", ok, None if ok else unconvolve(cex))
+            )
         return ValidationReport(tuple(checks))
-
-
-def validate(rts: Rts) -> ValidationReport:
-    return rts.validate()

@@ -15,7 +15,6 @@ state set; composition stays within l1 * l2; images within n * l).
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
 
 from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word, convolve
 from .errors import AlphabetMismatch, PaddingViolation
@@ -312,7 +311,3 @@ def relation_difference_identity(t: Transducer) -> Transducer:
         raise AlphabetMismatch("identity removal needs equal track alphabets")
     return t.intersect(identity(t.top).complement()).trim()
 
-
-def convolution_language(pairs: Sequence[tuple[Word, Word]]):
-    """Convolutions of the given word pairs (helper for tests and lifting)."""
-    return [convolve(x, y) for x, y in pairs]

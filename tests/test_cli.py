@@ -95,6 +95,17 @@ def test_check_unknown_exit(capsys):
     assert "bound 6" in out
 
 
+def test_check_over_slice_cap_is_unknown(capsys):
+    # the length-9 slice holds 4**9 configurations, above the slice cap
+    code, out, _ = run(
+        capsys,
+        "check", "as-f", "--rts", "herman-lp", "--goal", "one-token", "--max-length", "9",
+    )
+    assert code == 2
+    assert out.startswith("VERDICT: UNKNOWN (bound 8)")
+    assert "length 9" in out and "cap of 200000" in out
+
+
 def test_check_growing_system_clique(capsys):
     code, out, _ = run(capsys, "check", "egf", "--rts", "succ-walk", "--goal", "all")
     assert code == 0

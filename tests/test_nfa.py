@@ -8,6 +8,7 @@ import pytest
 from rmc import (
     AlphabetMismatch,
     Nfa,
+    RmcError,
     StateCapExceeded,
     SymbolNotInAlphabet,
     empty_automaton,
@@ -90,6 +91,13 @@ def test_complement_cap():
         nfa.complement(cap=2)
     assert not nfa.complement().accepts(("a", "b"))
     assert nfa.complement().accepts(("b", "a"))
+
+
+@pytest.mark.parametrize("value", ["lots", "0", "-3"])
+def test_state_cap_variable_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("RMC_STATE_CAP", value)
+    with pytest.raises(RmcError, match="RMC_STATE_CAP"):
+        words_nfa(AB, {("a",)}).shortest_word()
 
 
 def test_includes_finds_shortest_counterexample():

@@ -5,8 +5,11 @@ import random
 import pytest
 
 from rmc import (
+    PROPERTIES,
     AlphabetMismatch,
+    RmcError,
     Rts,
+    Witness,
     check_af_bounded,
     check_agf_bounded,
     check_as_f_bounded,
@@ -17,11 +20,23 @@ from rmc import (
     check_egf,
     check_egf_clique,
     check_egf_loop,
+    length_automaton,
     run_check,
     universal_automaton,
 )
 from rmc.oracle import build_slice, oracle_check
-from support import A, AB, ABC, mk_t, random_lp_rts, words_nfa
+from rmc.procedures import _replay
+from support import (
+    A,
+    AB,
+    ABC,
+    mk_t,
+    random_lp_rts,
+    random_nfa,
+    random_padded_transducer,
+    random_word_nfa,
+    words_nfa,
+)
 
 SUCC = mk_t(A, A, [("s", "a/a", "s"), ("s", "#/a", "t")], ["s"], ["t"])
 GROW = mk_t(A, A, [("r", "a/a", "r"), ("r", "#/a", "r2"), ("r2", "#/a", "r2")], ["r"], ["r", "r2"])
@@ -144,27 +159,57 @@ def test_run_check_dispatch_and_errors():
         run_check(rts, "ef")
 
 
+def _growing_rts(seed):
+    """A seeded random system that may grow or shrink words, with a random
+    relation standing in for reach, and a random goal."""
+    rng = random.Random(seed)
+    alphabet = [A, AB, ABC][rng.randint(0, 2)]
+    delta = random_padded_transducer(rng, alphabet, alphabet)
+    reach = random_padded_transducer(rng, alphabet, alphabet)
+    initial = random_word_nfa(rng, alphabet, 3)
+    goal = random_nfa(rng, alphabet, max_states=4)
+    return Rts(initial, delta, reach=reach, preach=reach), goal
+
+
+@pytest.mark.parametrize(
+    "seed, configurations",
+    [
+        (194, ((), ("a",), ("b", "c"), ("b", "c", "c"))),
+        (205, (("a", "a", "a"), ("a", "a", "a", "a"), ("a", "a", "a", "a", "a"))),
+        (235, ((), ("a",), ("a", "a"), ("a", "a", "a"))),
+        (306, (("a", "b"), ("a", "a", "a"), ("a", "a", "a", "b"))),
+    ],
+)
+def test_egf_clique_witness_is_pinned(seed, configurations):
+    rts, goal = _growing_rts(seed)
+    verdict = check_egf_clique(rts, goal)
+    assert verdict.holds
+    assert verdict.witness.kind == "clique-prefix"
+    assert verdict.witness.configurations == configurations
+
+
+def test_replay_rejects_a_non_step_as_an_rmc_error():
+    with pytest.raises(RmcError, match="not a system step"):
+        _replay(toggle_rts(), Witness("path", (("a",), ("a",))))
+
+
 def test_agreement_with_oracle_sample():
-    """A light version of the oracle-equivalence suite for quick runs."""
+    """A light version of the oracle-equivalence suite for quick runs:
+    every property with an oracle decider, on each length's slice."""
     rng = random.Random(71)
     for _ in range(25):
         rts, goal = random_lp_rts(rng, max_length=3)
         for n in range(1, 4):
             sliced = build_slice(rts, n)
             per_length = Rts(
-                rts.initial.intersect(_length(rts, n)),
+                rts.initial.intersect(length_automaton(rts.alphabet, n)),
                 rts.delta,
                 reach=rts.reach,
                 preach=rts.preach,
             )
-            assert check_ef(per_length, goal).holds == oracle_check(sliced, "EF", goal)[0]
-            assert (
-                check_deadlock_freedom(per_length).holds
-                == oracle_check(sliced, "DF")[0]
-            )
-
-
-def _length(rts, n):
-    from rmc import length_automaton
-
-    return length_automaton(rts.alphabet, n)
+            for name, prop in PROPERTIES.items():
+                if prop.oracle is None:
+                    continue
+                wanted = goal if prop.needs_goal else None
+                verdict = run_check(per_length, name, wanted)
+                assert verdict.holds == oracle_check(sliced, prop.oracle, wanted)[0], (name, n)

@@ -10,7 +10,7 @@ from rmc import (
     identity,
     universal_automaton,
 )
-from support import A, AB, mk_t, words_nfa
+from support import A, AB, ABC, mk_t, words_nfa
 
 # a* -> shift the single marked cell right: ab -> ba is NOT in it, this
 # moves a single b marker right through a field of a's.
@@ -111,3 +111,13 @@ def test_validate_passes_on_identity_closure():
     empty_delta = mk_t(AB, AB, [("s", "a/a", "s")], ["s"], [])
     rts = Rts(universal_automaton(AB), empty_delta, reach=identity(AB))
     assert rts.validate().ok
+
+
+def test_validate_flags_reach_not_closed_under_delta():
+    # a -> b -> c on one-letter words: identity plus single steps misses the
+    # pair (a, c), and a reachability check trusting it would miss c
+    delta = mk_t(ABC, ABC, [("s", "a/b", "t"), ("s", "b/c", "t")], ["s"], ["t"])
+    rts = Rts(words_nfa(ABC, {("a",)}), delta, reach=identity(ABC).union(delta))
+    report = rts.validate()
+    assert [c.name for c in report.failed] == ["reach-closed-under-delta"]
+    assert report.failed[0].counterexample == (("a",), ("c",))
