@@ -13,15 +13,15 @@ class SymbolNotInAlphabet(RmcError):
     """A word contains a symbol outside the relevant alphabet."""
 
 
-class StateCapExceeded(RmcError):
-    """A determinization grew past the configured state cap."""
-
-
 class CapExceeded(RmcError):
-    """An explicit enumeration grew past its configured cap."""
+    """A construction or enumeration grew past its configured cap."""
 
 
-class SuccessorCapExceeded(RmcError):
+class StateCapExceeded(CapExceeded):
+    """A subset construction grew past the configured state cap."""
+
+
+class SuccessorCapExceeded(CapExceeded):
     """A configuration has more successors than the enumeration cap."""
 
 

@@ -1,14 +1,29 @@
-"""Search on finite graphs whose nodes are small integers.
+"""Search on finite graphs.
 
-Adjacency is anything indexable: ``edges[v]`` gives the successors of
-``v`` in the order a search should try them.  Breadth-first searches
-visit starts in sorted order and successors in adjacency order, so the
-paths they report are shortest and, among those, least by that order.
+Apart from :func:`closure`, which takes any hashable nodes, nodes are
+small integers and adjacency is anything indexable: ``edges[v]`` gives
+the successors of ``v`` in the order a search should try them.
+Breadth-first searches visit starts in sorted order and successors in
+adjacency order, so the paths they report are shortest and, among those,
+least by that order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
+
+
+def closure(starts: Iterable, successors: Callable[[object], Iterable]) -> set:
+    """Every node reachable from ``starts``, the starts included, where
+    ``successors(v)`` gives the nodes one step from ``v``."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for w in successors(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def bfs(edges, starts: Iterable[int], allowed=None):

@@ -16,6 +16,7 @@ import os
 from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence
 
+from . import graph
 from .alphabet import Alphabet, Word
 from .errors import AlphabetMismatch, RmcError, StateCapExceeded
 
@@ -141,8 +142,7 @@ class Nfa:
 
         Returns None when the language is empty.
         """
-        found = constrained_search(self, [], lambda pos_final, hits: pos_final)
-        return found
+        return constrained_search(self, [], lambda pos_final, hits: pos_final)
 
     def is_empty(self) -> bool:
         return self.shortest_word() is None
@@ -155,31 +155,17 @@ class Nfa:
     # -- reachability and trimming ---------------------------------------------
 
     def _forward_reachable(self) -> set:
-        seen = set(self.initial)
-        queue = deque(q for q in self.states if q in self.initial)
-        while queue:
-            q = queue.popleft()
-            for sym in self.alphabet.symbols:
-                for r in self.transitions.get((q, sym), ()):
-                    if r not in seen:
-                        seen.add(r)
-                        queue.append(r)
-        return seen
+        succ: dict = {}
+        for (q, _sym), dsts in self.transitions.items():
+            succ.setdefault(q, []).extend(dsts)
+        return graph.closure(self.initial, lambda q: succ.get(q, ()))
 
     def _coreachable(self) -> set:
         rev: dict = {}
         for (q, _sym), dsts in self.transitions.items():
             for r in dsts:
                 rev.setdefault(r, []).append(q)
-        seen = set(self.final)
-        queue = deque(q for q in self.states if q in self.final)
-        while queue:
-            q = queue.popleft()
-            for p in rev.get(q, ()):
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        return seen
+        return graph.closure(self.final, lambda q: rev.get(q, ()))
 
     def trim(self) -> "Nfa":
         """Keep only states both reachable and co-reachable."""
@@ -253,45 +239,16 @@ class Nfa:
         :class:`StateCapExceeded` when more than ``cap`` subset states
         appear (default 2**20, overridable via RMC_STATE_CAP).
         """
-        cap = _state_cap(cap)
-        subsets, transitions, final_subsets = self._determinize(cap)
-        final = [i for i in range(len(subsets)) if i not in final_subsets]
-        return self._make(tuple(range(len(subsets))), transitions, [0], final)
-
-    def _determinize(self, cap: int):
-        """Complete subset construction; returns (subsets, transitions, accepting)."""
-        final_pos = {self._pos[q] for q in self.final}
-        start = frozenset(self._pos[q] for q in self.initial)
-        index = {start: 0}
-        subsets = [start]
+        subsets = _Subsets(self, _state_cap(cap))
+        found = subsets.found
         transitions: dict = {}
-        accepting = set()
-        if start & final_pos:
-            accepting.add(0)
-        by_pos: dict = {}
-        for (q, sym), dsts in self.transitions.items():
-            by_pos[(self._pos[q], sym)] = tuple(self._pos[r] for r in dsts)
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            ci = index[cur]
+        # ``found`` grows while it is walked, which makes this a breadth-first
+        # search: state i of the result is the i-th subset found
+        for i, subset in enumerate(found):
             for sym in self.alphabet.symbols:
-                nxt: set = set()
-                for i in cur:
-                    nxt.update(by_pos.get((i, sym), ()))
-                nxt = frozenset(nxt)
-                if nxt not in index:
-                    if len(subsets) >= cap:
-                        raise StateCapExceeded(
-                            f"subset construction exceeded cap of {cap} states"
-                        )
-                    index[nxt] = len(subsets)
-                    subsets.append(nxt)
-                    if nxt & final_pos:
-                        accepting.add(index[nxt])
-                    queue.append(nxt)
-                transitions[(ci, sym)] = (index[nxt],)
-        return subsets, transitions, accepting
+                transitions[(i, sym)] = (subsets.number[subsets.step(subset, sym)],)
+        final = [i for i, subset in enumerate(found) if not subsets.final(subset)]
+        return self._make(tuple(range(len(found))), transitions, [0], final)
 
     def includes(self, other: "Nfa") -> tuple[bool, tuple | None]:
         """Language inclusion L(other) <= L(self), decided on the fly.
@@ -354,6 +311,53 @@ class Nfa:
 # -- on-the-fly product search ------------------------------------------------------
 
 
+class _Subsets:
+    """The subset construction of one automaton, built lazily.
+
+    Subsets are frozensets of state positions.  ``found`` lists them in
+    the order :meth:`step` first produced them, starting with ``start``,
+    and ``number`` maps each to its place in that list.  Steps are
+    memoized; a step that would make more than ``cap`` subsets raises
+    :class:`StateCapExceeded`.
+    """
+
+    __slots__ = ("start", "found", "number", "_moves", "_final", "_steps", "_cap")
+
+    def __init__(self, nfa: Nfa, cap: int):
+        pos = nfa._pos
+        self._moves = {
+            (pos[q], sym): tuple(pos[r] for r in dsts)
+            for (q, sym), dsts in nfa.transitions.items()
+        }
+        self._final = frozenset(pos[q] for q in nfa.final)
+        self._steps: dict = {}
+        self._cap = cap
+        self.start = frozenset(pos[q] for q in nfa.initial)
+        self.found = [self.start]
+        self.number = {self.start: 0}
+
+    def final(self, subset: frozenset) -> bool:
+        return not self._final.isdisjoint(subset)
+
+    def step(self, subset: frozenset, sym) -> frozenset:
+        key = (subset, sym)
+        nxt = self._steps.get(key)
+        if nxt is None:
+            out: set = set()
+            for p in subset:
+                out.update(self._moves.get((p, sym), ()))
+            nxt = frozenset(out)
+            if nxt not in self.number:
+                if len(self.found) >= self._cap:
+                    raise StateCapExceeded(
+                        f"subset construction grew past the state cap of {self._cap}"
+                    )
+                self.number[nxt] = len(self.found)
+                self.found.append(nxt)
+            self._steps[key] = nxt
+        return nxt
+
+
 def constrained_search(
     pos: Nfa,
     dets: Sequence[Nfa],
@@ -369,81 +373,48 @@ def constrained_search(
     or None.  The subset parts are never materialized beyond the states
     the search actually visits; if any of them still grows past the
     state cap, the search raises rather than running away.
+
+    The search takes words by length, then in alphabet order.  All the
+    product nodes one word reaches share its subsets, so each length is a
+    list of groups ``(word, states, subsets)`` naming the ``pos`` states
+    the word is the first to reach.  The answer thus never depends on the
+    order of the states.
     """
     for d in dets:
         if d.alphabet != pos.alphabet:
             raise AlphabetMismatch("search operands have different alphabets")
     cap = _state_cap(None)
+    sides = [_Subsets(d, cap) for d in dets]
+    transitions = pos.transitions
 
-    det_infos = []
-    for d in dets:
-        by_pos: dict = {}
-        for (q, sym), dsts in d.transitions.items():
-            by_pos[(d._pos[q], sym)] = tuple(d._pos[r] for r in dsts)
-        init = frozenset(d._pos[q] for q in d.initial)
-        final = frozenset(d._pos[q] for q in d.final)
-        det_infos.append((by_pos, init, final, {}, {init}))
+    def accepted(states, subsets) -> bool:
+        hits = tuple(side.final(s) for side, s in zip(sides, subsets))
+        return any(accept(q in pos.final, hits) for q in states)
 
-    def det_step(i: int, subset: frozenset, sym) -> frozenset:
-        by_pos, _init, _final, cache, known = det_infos[i]
-        key = (subset, sym)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        nxt: set = set()
-        for p in subset:
-            nxt.update(by_pos.get((p, sym), ()))
-        result = frozenset(nxt)
-        cache[key] = result
-        if result not in known:
-            known.add(result)
-            if len(known) > cap:
-                raise StateCapExceeded(
-                    f"on-the-fly subset construction grew past {cap} states"
-                )
-        return result
-
-    def hits_of(subsets: tuple) -> tuple:
-        return tuple(bool(s & det_infos[i][2]) for i, s in enumerate(subsets))
-
-    init_subsets = tuple(info[1] for info in det_infos)
-    seen: dict = {}
-    queue: deque = deque()
-    for q in pos.states:
-        if q not in pos.initial:
-            continue
-        node = (q, init_subsets)
-        if node in seen:
-            continue
-        seen[node] = None
-        if accept(q in pos.final, hits_of(init_subsets)):
-            return ()
-        queue.append(node)
-    while queue:
-        node = queue.popleft()
-        q, subsets = node
-        for sym in pos.alphabet.symbols:
-            succs = pos.transitions.get((q, sym))
-            if not succs:
-                continue
-            stepped = tuple(det_step(i, s, sym) for i, s in enumerate(subsets))
-            hits = None
-            for r in succs:
-                child = (r, stepped)
-                if child in seen:
+    start = tuple(side.start for side in sides)
+    if accepted(pos.initial, start):
+        return ()
+    seen = {(q, start) for q in pos.initial}
+    level = [((), pos.initial, start)]
+    while level:
+        following = []
+        for word, states, subsets in level:
+            for sym in pos.alphabet.symbols:
+                succs: set = set()
+                for q in states:
+                    succs.update(transitions.get((q, sym), ()))
+                if not succs:
                     continue
-                seen[child] = (node, sym)
-                if hits is None:
-                    hits = hits_of(stepped)
-                if accept(r in pos.final, hits):
-                    word = [sym]
-                    cur = node
-                    while seen[cur] is not None:
-                        parent, s = seen[cur]
-                        word.append(s)
-                        cur = parent
-                    return tuple(reversed(word))
-                queue.append(child)
+                stepped = tuple(side.step(s, sym) for side, s in zip(sides, subsets))
+                fresh = [r for r in succs if (r, stepped) not in seen]
+                if not fresh:
+                    continue
+                seen.update((r, stepped) for r in fresh)
+                longer = word + (sym,)
+                if accepted(fresh, stepped):
+                    return longer
+                following.append((longer, fresh, stepped))
+        level = following
     return None
 
 

@@ -391,7 +391,7 @@ class SimulationConfig:
     runs: int = 100
     max_steps: int = 1000
     seed: int = 0
-    successor_cap: int = 4096
+    successor_cap: int = Rts.DEFAULT_SUCCESSOR_CAP
 
 
 @dataclass(frozen=True)

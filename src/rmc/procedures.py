@@ -47,8 +47,13 @@ def _locate(rts: Rts, target: Word, basis: str) -> Witness:
     """A witness that ``target`` is reachable: a stepwise path when a
     slice of its length is affordable, else a source/target pair under
     the reachability relation."""
-    if rts.length_preserving and len(rts.alphabet) ** len(target) <= _WITNESS_SLICE_CAP:
-        slice_ = build_slice(rts, len(target), config_cap=_WITNESS_SLICE_CAP)
+    slice_ = None
+    if rts.length_preserving:
+        try:
+            slice_ = build_slice(rts, len(target), config_cap=_WITNESS_SLICE_CAP)
+        except CapExceeded:
+            pass  # too long for a stepwise path
+    if slice_ is not None:
         index = slice_.index_of(target)
         _order, parents = graph.bfs(slice_.edges, slice_.initial)
         if index in parents:
@@ -66,6 +71,15 @@ def _locate(rts: Rts, target: Word, basis: str) -> Witness:
         # fall back to the target alone
         return Witness("path", (target,))
     return Witness("pair", (source, target))
+
+
+def _reachable_outside(rts: Rts, basis: str, languages: list[Nfa]) -> Word | None:
+    """The least reachable configuration missing from one of ``languages``."""
+    return constrained_search(
+        rts.reachable_set(basis),
+        languages,
+        lambda pos_final, hits: pos_final and not all(hits),
+    )
 
 
 # -- reachability ---------------------------------------------------------------
@@ -86,12 +100,7 @@ def check_ef(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
 
 def check_deadlock_freedom(rts: Rts, basis: str = "exact") -> Verdict:
     """Does every reachable configuration have at least one successor?"""
-    domain = rts.delta.project(1)
-    found = constrained_search(
-        rts.reachable_set(basis),
-        [domain],
-        lambda pos_final, hits: pos_final and not hits[0],
-    )
+    found = _reachable_outside(rts, basis, [rts.delta.project(1)])
     if found is None:
         return holds(note="every reachable configuration has a successor")
     return fails(
@@ -313,11 +322,7 @@ def check_as_gf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     _check_goal(rts, goal)
     domain = rts.delta.project(1)
     can_reach_goal = rts.relation(basis).pre_image(goal)
-    found = constrained_search(
-        rts.reachable_set(basis),
-        [domain, can_reach_goal],
-        lambda pos_final, hits: pos_final and (not hits[0] or not hits[1]),
-    )
+    found = _reachable_outside(rts, basis, [domain, can_reach_goal])
     if found is None:
         return holds(
             note="every reachable configuration can step and can reach the goal"
@@ -334,13 +339,8 @@ def check_as_termination(rts: Rts, basis: str = "exact") -> Verdict:
     """Does a random run reach a successor-free configuration with
     probability one?  Fails exactly when some reachable configuration
     cannot reach any successor-free one."""
-    halted = rts.terminating()
-    can_halt = rts.relation(basis).pre_image(halted)
-    found = constrained_search(
-        rts.reachable_set(basis),
-        [can_halt],
-        lambda pos_final, hits: pos_final and not hits[0],
-    )
+    can_halt = rts.relation(basis).pre_image(rts.terminating())
+    found = _reachable_outside(rts, basis, [can_halt])
     if found is None:
         return holds(
             note="every reachable configuration can reach a successor-free one"
@@ -352,34 +352,6 @@ def check_as_termination(rts: Rts, basis: str = "exact") -> Verdict:
 
 
 # -- bounded universal checks ----------------------------------------------------
-
-
-def _initial_exhausted(rts: Rts, bound: int) -> bool:
-    """True when no initial configuration is longer than the bound."""
-    trimmed = rts.initial.trim()
-    if not trimmed.states:
-        return True
-    outgoing: dict = {}
-    incoming_count = {q: 0 for q in trimmed.states}
-    for (src, _sym), dsts in trimmed.transitions.items():
-        for dst in dsts:
-            outgoing.setdefault(src, []).append(dst)
-            incoming_count[dst] += 1
-    ready = [q for q, count in incoming_count.items() if count == 0]
-    longest = {q: 0 for q in trimmed.states}
-    seen = 0
-    while ready:
-        q = ready.pop()
-        seen += 1
-        for dst in outgoing.get(q, ()):  # each edge adds one symbol
-            if longest[q] + 1 > longest[dst]:
-                longest[dst] = longest[q] + 1
-            incoming_count[dst] -= 1
-            if incoming_count[dst] == 0:
-                ready.append(dst)
-    if seen != len(trimmed.states):
-        return False
-    return max(longest[q] for q in trimmed.final) <= bound
 
 
 def _replay(rts: Rts, witness: Witness) -> None:
@@ -417,7 +389,7 @@ def _bounded(rts: Rts, prop: str, goal: Nfa | None, bound: int) -> Verdict:
         if not satisfied:
             _replay(rts, witness)
             return fails(witness=witness, bound=n)
-    if _initial_exhausted(rts, bound):
+    if length_automaton(rts.alphabet, bound, upto=True).includes(rts.initial)[0]:
         return holds(note=f"all initial configurations have length at most {bound}")
     return unknown(
         bound=bound,
@@ -499,7 +471,8 @@ def run_check(
     bound: int = DEFAULT_BOUND,
 ) -> Verdict:
     """Dispatch a property check by name; the command line goes through
-    here so the names are part of the interface."""
+    here so the names are part of the interface.  A check that outgrows
+    a cap answers Unknown with a note naming the property and the cap."""
     name = property_name.lower()
     prop = PROPERTIES.get(name)
     if prop is None:
@@ -508,4 +481,7 @@ def run_check(
         )
     if prop.needs_goal and goal is None:
         raise ValueError(f"property {name!r} needs a goal language")
-    return prop.run(rts, goal, basis, bound)
+    try:
+        return prop.run(rts, goal, basis, bound)
+    except CapExceeded as err:
+        return unknown(note=f"{name} stopped at a cap: {err}")

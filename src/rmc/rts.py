@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import Alphabet, Word, unconvolve
-from .errors import AlphabetMismatch, MissingRelation
+from .errors import AlphabetMismatch, MissingRelation, PaddingViolation
 from .nfa import Nfa, universal_automaton, word_automaton
 from .transducer import Transducer, identity
 
@@ -101,16 +101,15 @@ class Rts:
             self._cache[key] = self.relation(basis).post_image(self.initial)
         return self._cache[key]
 
-    def terminating(self, cap: int | None = None) -> Nfa:
+    def terminating(self) -> Nfa:
         """Configurations with no successor: the complement of dom(delta).
 
-        Materialized by one subset construction and cached; ``cap`` bounds
-        the construction.
+        Materialized by one subset construction and cached.
         """
-        key = ("terminating", cap)
+        key = "terminating"
         if key not in self._cache:
             has_successor = self.delta.pre_image(universal_automaton(self.alphabet))
-            self._cache[key] = has_successor.complement(cap)
+            self._cache[key] = has_successor.complement()
         return self._cache[key]
 
     def successors(self, config: Word, cap: int | None = None) -> tuple[tuple[Word, ...], bool]:
@@ -142,7 +141,7 @@ class Rts:
             try:
                 t.validate_padding()
                 checks.append(CheckResult(f"{name}-padding", True))
-            except Exception:
+            except PaddingViolation:
                 checks.append(CheckResult(f"{name}-padding", False))
 
         padding_check("delta", self.delta)

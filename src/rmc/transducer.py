@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from . import graph
 from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word, convolve
 from .errors import AlphabetMismatch, PaddingViolation
 from .nfa import Nfa
@@ -62,28 +63,19 @@ class Transducer(Nfa):
         """
         trimmed = self.trim()
         for track in ("top", "bottom"):
-            dead: set = set()
-            queue: deque = deque()
+            padded: dict = {}
             for (q, sym), dsts in trimmed.transitions.items():
                 if getattr(sym, track) == PAD:
-                    for r in dsts:
-                        if r not in dead:
-                            dead.add(r)
-                            queue.append(r)
-            while queue:
-                q = queue.popleft()
-                for sym in trimmed.alphabet.symbols:
-                    dsts = trimmed.transitions.get((q, sym))
-                    if not dsts:
-                        continue
-                    if getattr(sym, track) != PAD:
-                        raise PaddingViolation(
-                            f"state {q!r} reads {sym} after {track}-track padding"
-                        )
-                    for r in dsts:
-                        if r not in dead:
-                            dead.add(r)
-                            queue.append(r)
+                    padded.setdefault(q, []).extend(dsts)
+            dead = graph.closure(
+                (r for dsts in padded.values() for r in dsts),
+                lambda q: padded.get(q, ()),
+            )
+            for q, sym in trimmed.transitions:
+                if q in dead and getattr(sym, track) != PAD:
+                    raise PaddingViolation(
+                        f"state {q!r} reads {sym} after {track}-track padding"
+                    )
 
     # -- relation algebra ----------------------------------------------------------
 
@@ -117,17 +109,9 @@ class Transducer(Nfa):
             else:
                 real_moves.setdefault(q, []).append((kept, dsts))
 
-        closures: dict = {}
-        for q in self.states:
-            seen = {q}
-            queue = deque([q])
-            while queue:
-                p = queue.popleft()
-                for r in silent.get(p, ()):
-                    if r not in seen:
-                        seen.add(r)
-                        queue.append(r)
-            closures[q] = seen
+        closures = {
+            q: graph.closure((q,), lambda p: silent.get(p, ())) for q in self.states
+        }
 
         transitions: dict = {}
         for q in self.states:
@@ -167,9 +151,6 @@ class Transducer(Nfa):
 
         # acceptance: backward closure from F1 x F2 over common-remainder moves,
         # i.e. left reads (#, b) while right reads (b, #) for the same b
-        good: set = {
-            (p, q) for p in self.final for q in other.final
-        }
         rev: dict = {}
         for p in self.states:
             for b in mid.symbols:
@@ -188,13 +169,10 @@ class Transducer(Nfa):
                             for p2 in p_dsts:
                                 for q2 in q_dsts:
                                     rev.setdefault((p2, q2), set()).add((p, q))
-        queue = deque(good)
-        while queue:
-            node = queue.popleft()
-            for prev in rev.get(node, ()):
-                if prev not in good:
-                    good.add(prev)
-                    queue.append(prev)
+        good = graph.closure(
+            ((p, q) for p in self.final for q in other.final),
+            lambda node: rev.get(node, ()),
+        )
 
         # forward product over the composed pair alphabet
         middles = mid.symbols + (PAD,)

@@ -106,6 +106,14 @@ def test_check_over_slice_cap_is_unknown(capsys):
     assert "length 9" in out and "cap of 200000" in out
 
 
+def test_check_over_state_cap_is_unknown(capsys, monkeypatch):
+    monkeypatch.setenv("RMC_STATE_CAP", "2")
+    code, out, _ = run(capsys, "check", "as-gf", "--rts", "toggle", "--goal", "all")
+    assert code == 2
+    assert out.startswith("VERDICT: UNKNOWN")
+    assert "as-gf" in out and "state cap of 2" in out
+
+
 def test_check_growing_system_clique(capsys):
     code, out, _ = run(capsys, "check", "egf", "--rts", "succ-walk", "--goal", "all")
     assert code == 0

@@ -131,6 +131,41 @@ def test_shortest_word_order():
     assert empty_automaton(ABC).shortest_word() is None
 
 
+def test_shortest_word_ignores_state_order():
+    # the state listed first reaches the final state only by the larger letter
+    nfa = mk_nfa(AB, [("p", "b", "f"), ("q", "a", "f")], ["p", "q"], ["f"])
+    assert nfa.shortest_word() == ("a",)
+    deeper = mk_nfa(
+        AB,
+        [("s", "a", "p"), ("s", "a", "q"), ("p", "b", "f"), ("q", "a", "f")],
+        ["s"],
+        ["f"],
+        states=["s", "p", "q", "f"],
+    )
+    assert deeper.shortest_word() == ("a", "a")
+    assert universal_automaton(AB).includes(deeper) == (True, None)
+    assert nfa.includes(deeper) == (False, ("a", "a"))
+
+
+def test_search_laws_on_random_automata():
+    rng = random.Random(31)
+    for _ in range(200):
+        alphabet = rng.choice([AB, ABC])
+        a = random_nfa(rng, alphabet, max_states=5)
+        b = random_nfa(rng, alphabet, max_states=5)
+        least, _truncated = b.enumerate_words(1)
+        assert b.shortest_word() == (least[0] if least else None)
+        ok, cex = a.includes(b)
+        missing = [w for w in all_words(alphabet, 4) if b.accepts(w) and not a.accepts(w)]
+        if missing:
+            assert cex == missing[0]
+        else:
+            assert ok or len(cex) > 4
+        complement = a.complement()
+        for w in all_words(alphabet, 4):
+            assert complement.accepts(w) != a.accepts(w)
+
+
 def test_enumerate_words():
     nfa = words_nfa(AB, {(), ("b",), ("a", "a")})
     words, truncated = nfa.enumerate_words(10)

@@ -1,6 +1,10 @@
 """Decision procedures on crafted systems plus oracle agreement samples."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,33 @@ def test_egf_clique_witness_is_pinned(seed, configurations):
     assert verdict.holds
     assert verdict.witness.kind == "clique-prefix"
     assert verdict.witness.configurations == configurations
+
+
+_WITNESS_CORPUS = """
+from rmc import run_check
+from test_procedures import _growing_rts
+
+for seed in range(170, 201):
+    rts, goal = _growing_rts(seed)
+    for name in ("ef", "as-gf", "deadlock-free", "egf"):
+        print(seed, name, run_check(rts, name, goal=goal))
+"""
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _WITNESS_CORPUS],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "3")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_replay_rejects_a_non_step_as_an_rmc_error():

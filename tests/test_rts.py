@@ -7,6 +7,7 @@ from rmc import (
     MissingRelation,
     Rts,
     SuccessorCapExceeded,
+    Transducer,
     identity,
     universal_automaton,
 )
@@ -121,3 +122,12 @@ def test_validate_flags_reach_not_closed_under_delta():
     report = rts.validate()
     assert [c.name for c in report.failed] == ["reach-closed-under-delta"]
     assert report.failed[0].counterexample == (("a",), ("c",))
+
+
+def test_validate_lets_internal_errors_through(monkeypatch):
+    def broken(self):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(Transducer, "validate_padding", broken)
+    with pytest.raises(RuntimeError, match="internal fault"):
+        shift_rts().validate()
