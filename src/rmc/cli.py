@@ -150,7 +150,8 @@ def _cmd_abstract(args, started: float) -> int:
 def _cmd_oracle(args, started: float) -> int:
     loaded = _Loaded(args.rts)
     goal = loaded.language(args.goal) if args.goal else None
-    slice_ = build_slice(loaded.rts, args.length)
+    # a dump shows the whole slice; the answer only needs its reachable part
+    slice_ = build_slice(loaded.rts, args.length, reachable=not args.dump_slice)
     if args.dump_slice:
         Path(args.dump_slice).write_text(dump_slice(slice_), encoding="utf-8")
     answer, witness = oracle_check(slice_, PROPERTIES[args.property].oracle, goal)

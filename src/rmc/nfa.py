@@ -307,6 +307,24 @@ class Nfa:
             level = nxt
         return out[:limit], len(out) > limit
 
+    def count_words(self, length: int) -> int:
+        """The number of accepted words of ``length``.
+
+        Counts runs of the subset construction, which is deterministic, so
+        the work grows with the subsets met, not with the words.
+        """
+        subsets = _Subsets(self, _state_cap(None))
+        level = {subsets.start: 1}
+        for _ in range(length):
+            nxt: dict = {}
+            for subset, count in level.items():
+                for sym in self.alphabet.symbols:
+                    stepped = subsets.step(subset, sym)
+                    if stepped:
+                        nxt[stepped] = nxt.get(stepped, 0) + count
+            level = nxt
+        return sum(count for subset, count in level.items() if subsets.final(subset))
+
 
 # -- on-the-fly product search ------------------------------------------------------
 

@@ -11,15 +11,15 @@ back into transducer form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import graph
 from .alphabet import Alphabet, Word, convolve
 from .errors import CapExceeded, NotLengthPreserving, SuccessorCapExceeded
-from .nfa import Nfa
+from .nfa import Nfa, length_automaton
 from .rts import Rts
 from .transducer import Transducer
 from .verdict import Witness
@@ -31,7 +31,7 @@ DEFAULT_CONFIG_CAP = 200_000
 
 @dataclass(frozen=True)
 class FiniteSlice:
-    """All configurations of one length with their step edges."""
+    """Configurations of one length, in alphabet order, with their step edges."""
 
     length: int
     alphabet: Alphabet
@@ -41,9 +41,11 @@ class FiniteSlice:
     sccs: tuple[tuple[int, ...], ...]
     scc_of: tuple[int, ...]
     bottom_sccs: frozenset[int]
+    index: dict[Word, int] = field(compare=False, repr=False)
 
-    def index_of(self, config: Word) -> int:
-        return self.configurations.index(config)
+    def index_of(self, config: Word) -> int | None:
+        """The index of ``config``, or None when the slice does not hold it."""
+        return self.index.get(config)
 
     def is_terminating(self, i: int) -> bool:
         return not self.edges[i]
@@ -54,60 +56,93 @@ class FiniteSlice:
         return len(members) == 1 and not self.edges[members[0]]
 
 
-def _config_successors(delta: Transducer, coreach: set, config: Word) -> list[Word]:
-    """Distinct same-length successors of one configuration, in symbol order.
+def _stepper(delta: Transducer) -> Callable[[Word], list[Word]]:
+    """The successor function of a length-preserving step transducer.
 
-    Runs the transducer along the fixed top track, branching on bottom
-    symbols; prefixes whose state set cannot reach a final state are
-    dropped early.
+    It maps a configuration to its distinct same-length successors by
+    running the transducer along the fixed top track, branching on bottom
+    symbols.  The by-top-symbol move index is built once, here.
     """
-    by_top: dict = {}
-    # note: callers pass a trimmed transducer, so padded symbols never help here
-    level: dict[Word, frozenset] = {(): frozenset(delta.initial)}
-    for a in config:
-        moves = by_top.get(a)
-        if moves is None:
-            moves = {}
-            for (q, sym), dsts in delta.transitions.items():
-                if sym.top == a:
-                    moves.setdefault(q, []).append((sym.bottom, dsts))
-            by_top[a] = moves
-        nxt: dict[Word, set] = {}
-        for prefix, states in level.items():
-            for q in states:
-                for b, dsts in moves.get(q, ()):
-                    live = [r for r in dsts if r in coreach]
-                    if live:
-                        nxt.setdefault(prefix + (b,), set()).update(live)
-        if not nxt:
-            return []
-        level = {w: frozenset(s) for w, s in nxt.items()}
+    # trimming keeps only states that can still reach a final state, so a
+    # prefix dies as soon as no run can accept it
+    delta = delta.trim()
+    moves: dict = {}
+    for (q, sym), dsts in delta.transitions.items():
+        moves.setdefault(sym.top, {}).setdefault(q, []).append((sym.bottom, dsts))
+    start = {(): frozenset(delta.initial)}
     final = delta.final
-    return [w for w, states in level.items() if states & final]
+
+    def successors(config: Word) -> list[Word]:
+        level = start
+        for a in config:
+            by_state = moves.get(a, {})
+            nxt: dict[Word, set] = {}
+            for prefix, states in level.items():
+                for q in states:
+                    for b, dsts in by_state.get(q, ()):
+                        nxt.setdefault(prefix + (b,), set()).update(dsts)
+            if not nxt:
+                return []
+            level = nxt
+        return [w for w, states in level.items() if states & final]
+
+    return successors
 
 
-def build_slice(rts: Rts, length: int, config_cap: int = DEFAULT_CONFIG_CAP) -> FiniteSlice:
-    """Materialize the slice of all configurations of the given length."""
+def _reachable_part(rts: Rts, length: int, step, config_cap: int):
+    """The initial words of ``length`` and the successor lists of every
+    configuration reachable from them."""
+    over_cap = f"slice would hold more than the cap of {config_cap} reachable configurations"
+    # counted first: listing them keeps every live prefix of a level, and
+    # there are as many of those as initial words
+    if rts.initial.count_words(length) > config_cap:
+        raise CapExceeded(over_cap)
+    starts, _truncated = rts.initial.intersect(
+        length_automaton(rts.alphabet, length)
+    ).enumerate_words(config_cap)
+    found: dict[Word, list[Word]] = {}
+
+    def visit(config: Word) -> list[Word]:
+        found[config] = out = step(config)
+        if len(found) > config_cap:
+            raise CapExceeded(over_cap)
+        return out
+
+    graph.closure(starts, visit)
+    return starts, found
+
+
+def build_slice(
+    rts: Rts, length: int, config_cap: int = DEFAULT_CONFIG_CAP, *, reachable: bool = False
+) -> FiniteSlice:
+    """Materialize the slice of all configurations of the given length.
+
+    With ``reachable`` the slice holds only the configurations reachable
+    from the initial words of that length, and the cap counts those.  Both
+    kinds index configurations in alphabet order, so on the reachable part
+    the two agree edge for edge, and every oracle answer, which looks only
+    at runs from the initial configurations, comes out the same.
+    """
     if not rts.length_preserving:
         raise NotLengthPreserving("slices are only defined for length-preserving systems")
     alphabet = rts.alphabet
-    total = len(alphabet) ** length
-    if total > config_cap:
-        raise CapExceeded(
-            f"slice would hold {total} configurations, above the cap of {config_cap}"
-        )
-    configurations = tuple(itertools.product(alphabet.symbols, repeat=length))
+    step = _stepper(rts.delta)
+    if reachable:
+        starts, found = _reachable_part(rts, length, step, config_cap)
+        rank = {a: i for i, a in enumerate(alphabet.symbols)}
+        configurations = tuple(sorted(found, key=lambda c: [rank[a] for a in c]))
+        step = found.__getitem__
+    else:
+        total = len(alphabet) ** length
+        if total > config_cap:
+            raise CapExceeded(
+                f"slice would hold {total} configurations, above the cap of {config_cap}"
+            )
+        configurations = tuple(itertools.product(alphabet.symbols, repeat=length))
+        starts = [c for c in configurations if rts.initial.accepts(c)]
     index = {c: i for i, c in enumerate(configurations)}
+    edges = tuple(tuple(sorted(index[s] for s in step(c))) for c in configurations)
 
-    delta = rts.delta.trim()
-    coreach = delta._coreachable()
-    edges = []
-    for c in configurations:
-        succ = _config_successors(delta, coreach, c)
-        edges.append(tuple(sorted(index[s] for s in succ)))
-    edges = tuple(edges)
-
-    initial = frozenset(i for i, c in enumerate(configurations) if rts.initial.accepts(c))
     sccs, scc_of = graph.tarjan(len(configurations), edges)
     bottom = set()
     for si, members in enumerate(sccs):
@@ -119,10 +154,11 @@ def build_slice(rts: Rts, length: int, config_cap: int = DEFAULT_CONFIG_CAP) -> 
         alphabet=alphabet,
         configurations=configurations,
         edges=edges,
-        initial=initial,
+        initial=frozenset(index[c] for c in starts),
         sccs=sccs,
         scc_of=scc_of,
         bottom_sccs=frozenset(bottom),
+        index=index,
     )
 
 
@@ -185,27 +221,23 @@ def oracle_check(
     if goal is not None and goal.alphabet != slice_.alphabet:
         raise ValueError("goal alphabet differs from the slice alphabet")
 
-    n = len(slice_.configurations)
+    # every property looks only at runs from the initial configurations
+    order, parents = graph.bfs(slice_.edges, slice_.initial)
     in_goal = (
-        frozenset(i for i, c in enumerate(slice_.configurations) if goal.accepts(c))
+        frozenset(v for v in order if goal.accepts(slice_.configurations[v]))
         if goal is not None
         else frozenset()
     )
-    initial = slice_.initial
+    goal_free = set(order) - in_goal
 
     if prop == "EF":
-        order, parents = graph.bfs(slice_.edges, initial)
         for v in order:
             if v in in_goal:
                 return True, _witness(slice_, graph.path_to(parents, v))
         return False, None
 
     if prop == "EGF":
-        order, parents = graph.bfs(slice_.edges, initial)
-        reachable = set(order)
         for g in sorted(in_goal):
-            if g not in reachable:
-                continue
             scc = slice_.sccs[slice_.scc_of[g]]
             if len(scc) > 1 or g in slice_.edges[g]:
                 nodes, loop_start = _lasso(slice_, graph.path_to(parents, g), set(scc))
@@ -213,14 +245,12 @@ def oracle_check(
         return False, None
 
     if prop == "AF":
-        avoid_ok = set(range(n)) - in_goal
-        starts = set(initial) - in_goal
         # a maximal goal-free path ending in a terminating configuration
-        order, parents = graph.bfs(slice_.edges, starts, avoid_ok)
-        for v in order:
+        af_order, af_parents = graph.bfs(slice_.edges, slice_.initial, goal_free)
+        for v in af_order:
             if slice_.is_terminating(v):
-                return False, _witness(slice_, graph.path_to(parents, v))
-        found = _cycle_search(slice_, starts, avoid_ok)
+                return False, _witness(slice_, graph.path_to(af_parents, v))
+        found = _cycle_search(slice_, slice_.initial, goal_free)
         if found is not None:
             nodes, loop_start = found
             return False, _witness(slice_, nodes, kind="lasso", loop_start=loop_start)
@@ -229,58 +259,40 @@ def oracle_check(
     if prop == "AGF":
         # only a reachable goal-avoiding cycle counts against repeated
         # reachability; runs that die out are judged by AST and ASGF instead
-        avoid_ok = set(range(n)) - in_goal
-        closure, closure_parents = graph.bfs(slice_.edges, initial)
-        starts = set(closure) - in_goal
-        found = _cycle_search(slice_, starts, avoid_ok)
+        found = _cycle_search(slice_, goal_free, goal_free)
         if found is not None:
             nodes, loop_start = found
-            stem = graph.path_to(closure_parents, nodes[0])
+            stem = graph.path_to(parents, nodes[0])
             full = stem + nodes[1:]
             return False, _witness(
                 slice_, full, kind="lasso", loop_start=loop_start + len(stem) - 1
             )
         return True, None
 
+    goal_free_bottom = {
+        si for si in slice_.bottom_sccs if in_goal.isdisjoint(slice_.sccs[si])
+    }
     if prop == "ASF":
-        avoid_ok = set(range(n)) - in_goal
-        starts = set(initial) - in_goal
-        order, parents = graph.bfs(slice_.edges, starts, avoid_ok)
-        goal_free_bottom = {
-            si for si in slice_.bottom_sccs
-            if not (set(slice_.sccs[si]) & in_goal)
-        }
-        for v in order:
+        asf_order, asf_parents = graph.bfs(slice_.edges, slice_.initial, goal_free)
+        for v in asf_order:
             if slice_.scc_of[v] in goal_free_bottom:
-                return False, _witness(slice_, graph.path_to(parents, v))
+                return False, _witness(slice_, graph.path_to(asf_parents, v))
         return True, None
 
+    # the rest fail at the first bad configuration in breadth-first order,
+    # so their counterexamples are shortest, then least
     if prop == "ASGF":
-        order, parents = graph.bfs(slice_.edges, initial)
-        reachable = set(order)
-        for si in sorted(slice_.bottom_sccs):
-            members = set(slice_.sccs[si])
-            if not (members & reachable):
-                continue
-            if slice_.is_trivial_bscc(si) or not (members & in_goal):
-                entry = next(v for v in order if v in members)
-                return False, _witness(slice_, graph.path_to(parents, entry))
-        return True, None
-
-    if prop == "AST":
-        order, parents = graph.bfs(slice_.edges, initial)
-        reachable = set(order)
-        for si in sorted(slice_.bottom_sccs):
-            members = set(slice_.sccs[si])
-            if members & reachable and not slice_.is_trivial_bscc(si):
-                entry = next(v for v in order if v in members)
-                return False, _witness(slice_, graph.path_to(parents, entry))
-        return True, None
-
-    # DF: no reachable terminating configuration
-    order, parents = graph.bfs(slice_.edges, initial)
+        # a bottom SCC that halts or never meets the goal
+        bad_sccs = goal_free_bottom | {
+            si for si in slice_.bottom_sccs if slice_.is_trivial_bscc(si)
+        }
+    elif prop == "AST":
+        # a bottom SCC whose runs go on forever
+        bad_sccs = {si for si in slice_.bottom_sccs if not slice_.is_trivial_bscc(si)}
+    else:  # DF: a terminating configuration
+        bad_sccs = {si for si in slice_.bottom_sccs if slice_.is_trivial_bscc(si)}
     for v in order:
-        if slice_.is_terminating(v):
+        if slice_.scc_of[v] in bad_sccs:
             return False, _witness(slice_, graph.path_to(parents, v))
     return True, None
 

@@ -47,20 +47,21 @@ def _locate(rts: Rts, target: Word, basis: str) -> Witness:
     """A witness that ``target`` is reachable: a stepwise path when a
     slice of its length is affordable, else a source/target pair under
     the reachability relation."""
-    slice_ = None
+    index = None
     if rts.length_preserving:
         try:
-            slice_ = build_slice(rts, len(target), config_cap=_WITNESS_SLICE_CAP)
-        except CapExceeded:
-            pass  # too long for a stepwise path
-    if slice_ is not None:
-        index = slice_.index_of(target)
-        _order, parents = graph.bfs(slice_.edges, slice_.initial)
-        if index in parents:
-            nodes = graph.path_to(parents, index)
-            return Witness(
-                "path", tuple(slice_.configurations[i] for i in nodes)
+            slice_ = build_slice(
+                rts, len(target), config_cap=_WITNESS_SLICE_CAP, reachable=True
             )
+        except CapExceeded:
+            pass  # too many configurations for a stepwise path
+        else:
+            # None when the relation claims more than the steps reach
+            index = slice_.index_of(target)
+    if index is not None:
+        _order, parents = graph.bfs(slice_.edges, slice_.initial)
+        nodes = graph.path_to(parents, index)
+        return Witness("path", tuple(slice_.configurations[i] for i in nodes))
     relation = rts.relation(basis)
     sources = relation.pre_image(word_automaton(rts.alphabet, target)).intersect(
         rts.initial
@@ -375,17 +376,15 @@ def _bounded(rts: Rts, prop: str, goal: Nfa | None, bound: int) -> Verdict:
     if goal is not None:
         _check_goal(rts, goal)
     for n in range(bound + 1):
-        has_initial = not rts.initial.intersect(
-            length_automaton(rts.alphabet, n)
-        ).is_empty()
-        if not has_initial:
-            continue
         try:
-            satisfied, witness = oracle_check(build_slice(rts, n), prop, goal)
+            slice_ = build_slice(rts, n, reachable=True)
         except CapExceeded as err:
             return unknown(
                 bound=n - 1, note=f"no violation up to length {n - 1}; length {n}: {err}"
             )
+        if not slice_.initial:
+            continue
+        satisfied, witness = oracle_check(slice_, prop, goal)
         if not satisfied:
             _replay(rts, witness)
             return fails(witness=witness, bound=n)

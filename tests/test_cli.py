@@ -96,14 +96,15 @@ def test_check_unknown_exit(capsys):
 
 
 def test_check_over_slice_cap_is_unknown(capsys):
-    # the length-9 slice holds 4**9 configurations, above the slice cap
+    # all 4**9 words of length 9 would exceed the slice cap, but only the
+    # few configurations reachable from the initial rings count against it
     code, out, _ = run(
         capsys,
         "check", "as-f", "--rts", "herman-lp", "--goal", "one-token", "--max-length", "9",
     )
     assert code == 2
-    assert out.startswith("VERDICT: UNKNOWN (bound 8)")
-    assert "length 9" in out and "cap of 200000" in out
+    assert out.startswith("VERDICT: UNKNOWN (bound 9)")
+    assert "longer initial configurations exist" in out
 
 
 def test_check_over_state_cap_is_unknown(capsys, monkeypatch):
@@ -152,7 +153,28 @@ def test_oracle_with_dump(tmp_path, capsys):
     assert "length-6 slice" in out
     text = dump.read_text()
     assert text.startswith("length: 6")
+    assert f"\n{4**6 - 1}: ⟩ ⟩ ⟩ ⟩ ⟩ ⟩" in text  # every word, reachable or not
     assert "bottom-scc:" in text
+
+
+def test_oracle_searches_only_reachable_configurations(capsys):
+    # 4**12 words of length 12, far above the slice cap; few are reachable
+    code, out, _ = run(
+        capsys, "oracle", "--rts", "herman-lp", "--length", "12", "--property", "as-gf",
+        "--goal", "one-token",
+    )
+    assert code == 0
+    assert out.startswith("VERDICT: HOLDS")
+
+
+def test_oracle_refuses_too_many_initial_configurations(capsys):
+    # about 2**28 initial rings of length 30: counted, not listed, so the
+    # cap refuses them at once
+    _code, _out, err = run(
+        capsys, "oracle", "--rts", "herman-lp", "--length", "30", "--property", "as-gf",
+        "--goal", "one-token",
+    )
+    assert "more than the cap of 200000 reachable configurations" in err
 
 
 def test_oracle_bad_length(capsys):

@@ -176,6 +176,16 @@ def test_enumerate_words():
     assert words == [(), ("a",), ("b",), ("a", "a")]
 
 
+def test_count_words():
+    rng = random.Random(5)
+    for _ in range(100):
+        nfa = random_nfa(rng, rng.choice([AB, ABC]), max_states=5)
+        accepted = language(nfa, 4)
+        for n in range(5):
+            assert nfa.count_words(n) == sum(len(w) == n for w in accepted)
+    assert universal_automaton(AB).count_words(40) == 2**40
+
+
 def test_trim_preserves_language():
     rng = random.Random(3)
     for _ in range(30):

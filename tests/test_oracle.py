@@ -9,12 +9,21 @@ from rmc import (
     NotLengthPreserving,
     Rts,
     SimulationConfig,
+    Witness,
     simulate,
     slice_closure,
     relation_to_transducer,
 )
 from rmc.oracle import PROPERTIES, build_slice, dump_slice, oracle_check
-from support import AB, mk_t, random_lp_rts, words_nfa
+from support import (
+    AB,
+    mk_t,
+    random_alphabet,
+    random_lp_rts,
+    random_lp_transducer,
+    random_nfa,
+    words_nfa,
+)
 
 # a <-> b, with c a dead end reachable from b.
 SPIN = mk_t(
@@ -49,6 +58,53 @@ def test_build_slice_guards():
         build_slice(non_lp, 1)
     with pytest.raises(CapExceeded):
         build_slice(spin_rts(), 30)
+
+
+def test_reachable_slice_is_the_reachable_part_of_the_full_slice():
+    # seed 88 draws systems whose bottom components come out of Tarjan's
+    # search in a different order once unreachable configurations are gone
+    rng = random.Random(88)
+    for _ in range(60):
+        alphabet = random_alphabet(rng)
+        delta = random_lp_transducer(rng, alphabet)
+        initial = random_nfa(rng, alphabet, max_states=4)
+        rts = Rts(initial, delta)
+        goal_ = random_nfa(rng, alphabet, max_states=4)
+        for n in range(5):
+            full = build_slice(rts, n)
+            part = build_slice(rts, n, reachable=True)
+            kept = [i for i, c in enumerate(full.configurations) if part.index_of(c) is not None]
+            assert part.configurations == tuple(full.configurations[i] for i in kept)
+            assert part.edges == tuple(
+                tuple(part.index_of(full.configurations[j]) for j in full.edges[i])
+                for i in kept
+            )
+            assert part.initial == {part.index_of(full.configurations[i]) for i in full.initial}
+            for name in PROPERTIES:
+                g = None if name in ("AST", "DF") else goal_
+                assert oracle_check(part, name, g) == oracle_check(full, name, g), (n, name)
+
+
+def test_bottom_scc_counterexamples_ignore_unreachable_configurations():
+    # a b steps into the loops on b a and on b b; a a, which no run
+    # visits, also steps to b b, so a search of the whole slice meets
+    # b b's component first
+    steps = [("ab", "ba"), ("ab", "bb"), ("ba", "ba"), ("bb", "bb"), ("aa", "bb")]
+    delta = relation_to_transducer(AB, {(tuple(x), tuple(y)) for x, y in steps})
+    rts = Rts(words_nfa(AB, {("a", "b")}), delta)
+    shortest_then_least = Witness("path", (("a", "b"), ("b", "a")))
+    for slice_ in (build_slice(rts, 2), build_slice(rts, 2, reachable=True)):
+        assert oracle_check(slice_, "AST") == (False, shortest_then_least)
+        assert oracle_check(slice_, "ASGF", words_nfa(AB, set())) == (False, shortest_then_least)
+
+
+def test_reachable_slice_cap_counts_reachable_configurations():
+    # from a, both a and b are reachable on the spin
+    assert len(build_slice(spin_rts(), 1, config_cap=2, reachable=True).configurations) == 2
+    with pytest.raises(CapExceeded, match="cap of 1 reachable"):
+        build_slice(spin_rts(), 1, config_cap=1, reachable=True)
+    assert build_slice(spin_rts(), 30, reachable=True).configurations == ()
+    assert build_slice(spin_rts(), 1).index_of(("c",)) is None
 
 
 def test_oracle_answers_on_spin():

@@ -10,6 +10,7 @@ import pytest
 
 from rmc import (
     PROPERTIES,
+    Alphabet,
     AlphabetMismatch,
     RmcError,
     Rts,
@@ -149,6 +150,32 @@ def test_bounded_refuses_growing_systems():
 
     with pytest.raises(NotLengthPreserving):
         check_af_bounded(succ_rts(), universal_automaton(A))
+
+
+def test_bounded_over_slice_cap_is_unknown():
+    # all 8**6 words of length 6 are initial, so more than the cap of
+    # 200000 configurations are reachable there; no initial word is shorter
+    letters = Alphabet(list("abcdefgh"))
+    keep = mk_t(letters, letters, [("s", f"{x}/{x}", "s") for x in "abcdefgh"], ["s"], ["s"])
+    rts = Rts(length_automaton(letters, 6), keep)
+    verdict = check_as_f_bounded(rts, universal_automaton(letters), bound=6)
+    assert verdict.unknown
+    assert verdict.bound_used == 5
+    assert "length 6" in verdict.note and "cap of 200000" in verdict.note
+
+
+def test_ef_witness_falls_back_to_a_pair_when_reach_claims_too_much():
+    # reach also relates a to c, which no step does: the configurations
+    # reachable step by step never include c, so the witness is the pair
+    delta = mk_t(ABC, ABC, [("s", "a/b", "t")], ["s"], ["t"])
+    claims = ("a/a", "b/b", "c/c", "a/b", "a/c")
+    reach = mk_t(ABC, ABC, [("s", label, "t") for label in claims], ["s"], ["t"])
+    rts = Rts(words_nfa(ABC, {("a",)}), delta, reach=reach, preach=reach)
+    verdict = check_ef(rts, words_nfa(ABC, {("c",)}))
+    assert verdict.holds
+    assert verdict.witness == Witness("pair", (("a",), ("c",)))
+    stepwise = check_ef(rts, words_nfa(ABC, {("b",)}))
+    assert stepwise.witness == Witness("path", (("a",), ("b",)))
 
 
 def test_run_check_dispatch_and_errors():
