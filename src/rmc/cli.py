@@ -24,7 +24,7 @@ from .abstraction import (
     separates,
     validate_preach,
 )
-from .errors import ParseError, RmcError
+from .errors import CapExceeded, ParseError, RmcError
 from .formats import load_automaton, load_rts_bundle, save_automaton, serialize_automaton
 from .nfa import Nfa
 from .oracle import SimulationConfig, build_slice, dump_slice, oracle_check, simulate
@@ -32,7 +32,7 @@ from .procedures import DEFAULT_BOUND, PROPERTIES, run_check
 from .report import Report, parse_word
 from .rts import PropertyGoal, Rts
 from .transducer import Transducer
-from .verdict import Outcome, Verdict, Witness
+from .verdict import Outcome, Verdict, Witness, unknown
 
 
 def _data_root() -> Path:
@@ -150,16 +150,20 @@ def _cmd_abstract(args, started: float) -> int:
 def _cmd_oracle(args, started: float) -> int:
     loaded = _Loaded(args.rts)
     goal = loaded.language(args.goal) if args.goal else None
-    # a dump shows the whole slice; the answer only needs its reachable part
-    slice_ = build_slice(loaded.rts, args.length, reachable=not args.dump_slice)
-    if args.dump_slice:
-        Path(args.dump_slice).write_text(dump_slice(slice_), encoding="utf-8")
-    answer, witness = oracle_check(slice_, PROPERTIES[args.property].oracle, goal)
-    verdict = Verdict(
-        Outcome.HOLDS if answer else Outcome.FAILS,
-        witness=witness,
-        note=f"decided by explicit search over the length-{args.length} slice",
-    )
+    try:
+        # a dump shows the whole slice; the answer only needs its reachable part
+        slice_ = build_slice(loaded.rts, args.length, reachable=not args.dump_slice)
+    except CapExceeded as err:
+        verdict = unknown(note=f"the length-{args.length} slice is too large: {err}")
+    else:
+        if args.dump_slice:
+            Path(args.dump_slice).write_text(dump_slice(slice_), encoding="utf-8")
+        answer, witness = oracle_check(slice_, PROPERTIES[args.property].oracle, goal)
+        verdict = Verdict(
+            Outcome.HOLDS if answer else Outcome.FAILS,
+            witness=witness,
+            note=f"decided by explicit search over the length-{args.length} slice",
+        )
     command = f"oracle {args.property}"
     _emit(report_mod.from_verdict(command, verdict), args.json, started)
     return verdict.outcome.exit_code

@@ -6,8 +6,7 @@ counterexample) are always of minimal length with ties broken by alphabet
 order, so repeated runs produce identical output.
 
 State identifiers are arbitrary hashable values.  Constructions label
-their result states with tuples or integers; use :meth:`Nfa.renumber` for
-printable names.
+their result states with tuples or integers.
 """
 
 from __future__ import annotations
@@ -263,20 +262,6 @@ class Nfa:
         if counterexample is None:
             return True, None
         return False, counterexample
-
-    def renumber(self, prefix: str = "s") -> "Nfa":
-        """Rename states to prefix0..prefixN-1 in state order."""
-        names = {q: f"{prefix}{i}" for i, q in enumerate(self.states)}
-        transitions = {
-            (names[q], sym): tuple(names[r] for r in dsts)
-            for (q, sym), dsts in self.transitions.items()
-        }
-        return self._make(
-            tuple(names[q] for q in self.states),
-            transitions,
-            [names[q] for q in self.initial],
-            [names[q] for q in self.final],
-        )
 
     # -- enumeration ---------------------------------------------------------------
 

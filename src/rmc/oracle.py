@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,62 +56,6 @@ class FiniteSlice:
         return len(members) == 1 and not self.edges[members[0]]
 
 
-def _stepper(delta: Transducer) -> Callable[[Word], list[Word]]:
-    """The successor function of a length-preserving step transducer.
-
-    It maps a configuration to its distinct same-length successors by
-    running the transducer along the fixed top track, branching on bottom
-    symbols.  The by-top-symbol move index is built once, here.
-    """
-    # trimming keeps only states that can still reach a final state, so a
-    # prefix dies as soon as no run can accept it
-    delta = delta.trim()
-    moves: dict = {}
-    for (q, sym), dsts in delta.transitions.items():
-        moves.setdefault(sym.top, {}).setdefault(q, []).append((sym.bottom, dsts))
-    start = {(): frozenset(delta.initial)}
-    final = delta.final
-
-    def successors(config: Word) -> list[Word]:
-        level = start
-        for a in config:
-            by_state = moves.get(a, {})
-            nxt: dict[Word, set] = {}
-            for prefix, states in level.items():
-                for q in states:
-                    for b, dsts in by_state.get(q, ()):
-                        nxt.setdefault(prefix + (b,), set()).update(dsts)
-            if not nxt:
-                return []
-            level = nxt
-        return [w for w, states in level.items() if states & final]
-
-    return successors
-
-
-def _reachable_part(rts: Rts, length: int, step, config_cap: int):
-    """The initial words of ``length`` and the successor lists of every
-    configuration reachable from them."""
-    over_cap = f"slice would hold more than the cap of {config_cap} reachable configurations"
-    # counted first: listing them keeps every live prefix of a level, and
-    # there are as many of those as initial words
-    if rts.initial.count_words(length) > config_cap:
-        raise CapExceeded(over_cap)
-    starts, _truncated = rts.initial.intersect(
-        length_automaton(rts.alphabet, length)
-    ).enumerate_words(config_cap)
-    found: dict[Word, list[Word]] = {}
-
-    def visit(config: Word) -> list[Word]:
-        found[config] = out = step(config)
-        if len(found) > config_cap:
-            raise CapExceeded(over_cap)
-        return out
-
-    graph.closure(starts, visit)
-    return starts, found
-
-
 def build_slice(
     rts: Rts, length: int, config_cap: int = DEFAULT_CONFIG_CAP, *, reachable: bool = False
 ) -> FiniteSlice:
@@ -126,22 +70,37 @@ def build_slice(
     if not rts.length_preserving:
         raise NotLengthPreserving("slices are only defined for length-preserving systems")
     alphabet = rts.alphabet
-    step = _stepper(rts.delta)
+    over_cap = f"slice would hold more than the cap of {config_cap} reachable configurations"
     if reachable:
-        starts, found = _reachable_part(rts, length, step, config_cap)
-        rank = {a: i for i, a in enumerate(alphabet.symbols)}
-        configurations = tuple(sorted(found, key=lambda c: [rank[a] for a in c]))
-        step = found.__getitem__
+        # counted first: listing them keeps every live prefix of a level, and
+        # there are as many of those as initial words
+        if rts.initial.count_words(length) > config_cap:
+            raise CapExceeded(over_cap)
+        starts, _truncated = rts.initial.intersect(
+            length_automaton(alphabet, length)
+        ).enumerate_words(config_cap)
+        roots = starts
     else:
         total = len(alphabet) ** length
         if total > config_cap:
             raise CapExceeded(
                 f"slice would hold {total} configurations, above the cap of {config_cap}"
             )
-        configurations = tuple(itertools.product(alphabet.symbols, repeat=length))
-        starts = [c for c in configurations if rts.initial.accepts(c)]
+        roots = list(itertools.product(alphabet.symbols, repeat=length))
+        starts = [c for c in roots if rts.initial.accepts(c)]
+    found: dict[Word, tuple[Word, ...]] = {}
+
+    def visit(config: Word) -> tuple[Word, ...]:
+        found[config], truncated = rts.successors(config, config_cap)
+        if truncated or len(found) > config_cap:
+            raise CapExceeded(over_cap)
+        return found[config]
+
+    graph.closure(roots, visit)
+    rank = {a: i for i, a in enumerate(alphabet.symbols)}
+    configurations = tuple(sorted(found, key=lambda c: [rank[a] for a in c]))
     index = {c: i for i, c in enumerate(configurations)}
-    edges = tuple(tuple(sorted(index[s] for s in step(c))) for c in configurations)
+    edges = tuple(tuple(sorted(index[s] for s in found[c])) for c in configurations)
 
     sccs, scc_of = graph.tarjan(len(configurations), edges)
     bottom = set()

@@ -120,21 +120,11 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def from_verdict(
-    command: str,
-    verdict: Verdict,
-    checks: tuple[CheckResult, ...] = (),
-    stats: SimulationStats | None = None,
-    elapsed_ms: int = 0,
-) -> Report:
+def from_verdict(command: str, verdict: Verdict) -> Report:
     return Report(
         command=command,
         outcome=verdict.outcome,
         witness=verdict.witness,
         bound_used=verdict.bound_used,
-        checks=checks,
-        stats=stats,
-        elapsed_ms=elapsed_ms,
         note=verdict.note,
     )
-

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alphabet import Alphabet, Word, unconvolve
+from . import graph
+from .alphabet import PAD, Alphabet, Word, unconvolve
 from .errors import AlphabetMismatch, MissingRelation, PaddingViolation
-from .nfa import Nfa, universal_automaton, word_automaton
+from .nfa import Nfa, universal_automaton
 from .transducer import Transducer, identity
 
 
@@ -50,6 +51,19 @@ class PropertyGoal:
 
     goal: Nfa
     pre_of_goal: Nfa | None = None
+
+
+def _advance(level, moves: dict) -> dict:
+    """One top symbol of a run: each ``(prefix, states)`` of ``level``
+    takes the ``(bottom, targets)`` moves of its states, and a padded
+    bottom track keeps its prefix."""
+    nxt: dict = {}
+    for prefix, states in level:
+        for q in states:
+            for b, dsts in moves.get(q, ()):
+                key = prefix if b is None else prefix + (b,)
+                nxt.setdefault(key, set()).update(dsts)
+    return nxt
 
 
 class Rts:
@@ -116,13 +130,60 @@ class Rts:
         """Direct successors in shortest-then-alphabet order.
 
         Returns ``(words, truncated)``; ``truncated`` reports that more
-        than ``cap`` successors exist.
+        than ``cap`` successors exist.  Runs the trimmed step transducer
+        with ``config`` on the top track, keeping each bottom-track prefix
+        with the states it reaches: a bottom track that pads early gives a
+        shorter successor, and ``(#, b)`` moves after the top track ends
+        give longer ones.  This assumes a padding-valid step transducer,
+        which bundle loading guarantees and :meth:`validate` reports.
         """
         cap = self.DEFAULT_SUCCESSOR_CAP if cap is None else cap
         self.alphabet.check_word(config)
-        post = self.delta.post_image(word_automaton(self.alphabet, config))
-        words, truncated = post.enumerate_words(cap)
-        return tuple(words), truncated
+        moves, start, final = self._step_index()
+        # prefixes are tuples of symbol indices, so they sort in alphabet order
+        level = {(): start}
+        for a in config:
+            level = _advance(level.items(), moves.get(a, {}))
+            if not level:
+                return (), False
+        found = sorted(prefix for prefix, states in level.items() if states & final)
+        found.sort(key=len)
+        growth = moves.get(PAD)
+        if growth:
+            # after the top track, (#, b) moves extend the unpadded prefixes
+            longer = sorted(item for item in level.items() if len(item[0]) == len(config))
+            while longer and len(found) <= cap:
+                longer = sorted(_advance(longer, growth).items())
+                found.extend(prefix for prefix, states in longer if states & final)
+        symbol = self.alphabet.symbols.__getitem__
+        return tuple(tuple(map(symbol, p)) for p in found[:cap]), len(found) > cap
+
+    def _step_index(self):
+        """The trimmed step transducer for :meth:`successors`: a map from
+        top symbol (# included) and state to ``(bottom, targets)`` moves,
+        where ``bottom`` is a symbol index or None for padding, and the
+        initial and final states."""
+        key = "step"
+        if key not in self._cache:
+            delta = self.delta.trim()
+            # (#, b) moves keep only targets that can still accept by such
+            # moves, so endless growth always meets the cap, even on a
+            # delta that is not padding-valid
+            back: dict = {}
+            for (q, sym), dsts in delta.transitions.items():
+                if sym.top == PAD:
+                    for r in dsts:
+                        back.setdefault(r, []).append(q)
+            grows = graph.closure(delta.final, lambda r: back.get(r, ()))
+            moves: dict = {}
+            for (q, sym), dsts in delta.transitions.items():
+                b = None if sym.bottom == PAD else self.alphabet.index(sym.bottom)
+                if sym.top == PAD:
+                    dsts = tuple(r for r in dsts if r in grows)
+                if dsts:
+                    moves.setdefault(sym.top, {}).setdefault(q, []).append((b, dsts))
+            self._cache[key] = (moves, frozenset(delta.initial), delta.final)
+        return self._cache[key]
 
     def validate(self) -> ValidationReport:
         """Necessary structural checks; cannot prove a reach relation exact.

@@ -167,14 +167,24 @@ def test_oracle_searches_only_reachable_configurations(capsys):
     assert out.startswith("VERDICT: HOLDS")
 
 
-def test_oracle_refuses_too_many_initial_configurations(capsys):
+def test_oracle_refuses_too_many_initial_configurations(tmp_path, capsys):
     # about 2**28 initial rings of length 30: counted, not listed, so the
-    # cap refuses them at once
-    _code, _out, err = run(
-        capsys, "oracle", "--rts", "herman-lp", "--length", "30", "--property", "as-gf",
-        "--goal", "one-token",
-    )
-    assert "more than the cap of 200000 reachable configurations" in err
+    # cap refuses them at once; a dump of length 12 would hold all 4**12
+    # words.  Running out of the cap is Unknown, and nothing is dumped.
+    dump = tmp_path / "slice.txt"
+    for length, extra, message in (
+        ("30", (), "more than the cap of 200000 reachable configurations"),
+        ("12", ("--dump-slice", str(dump)), "16777216 configurations, above the cap of 200000"),
+    ):
+        code, out, _err = run(
+            capsys, "oracle", "--rts", "herman-lp", "--length", length, "--property",
+            "as-gf", "--goal", "one-token", *extra,
+        )
+        assert code == 2
+        assert out.startswith("VERDICT: UNKNOWN\n")
+        assert f"note: the length-{length} slice is too large: " in out
+        assert message in out
+    assert not dump.exists()
 
 
 def test_oracle_bad_length(capsys):

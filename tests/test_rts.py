@@ -1,5 +1,9 @@
 """System container: relations, reachable sets, successors, validation."""
 
+import itertools
+import random
+from pathlib import Path
+
 import pytest
 
 from rmc import (
@@ -9,9 +13,21 @@ from rmc import (
     SuccessorCapExceeded,
     Transducer,
     identity,
+    load_rts_bundle,
     universal_automaton,
+    word_automaton,
 )
-from support import A, AB, ABC, mk_t, words_nfa
+from support import (
+    A,
+    AB,
+    ABC,
+    mk_t,
+    random_lp_transducer,
+    random_padded_transducer,
+    words_nfa,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data"
 
 # a* -> shift the single marked cell right: ab -> ba is NOT in it, this
 # moves a single b marker right through a field of a's.
@@ -59,6 +75,28 @@ def test_successors_ordering_and_cap():
     assert not truncated
     words, truncated = rts.successors(("a", "a", "b"))
     assert words == ()
+    # a padded bottom track gives a shorter successor, (#, b) moves after
+    # the top track a longer one
+    grow = load_rts_bundle(DATA / "herman-grow" / "bundle.rts")
+    words, truncated = grow.successors(tuple("⟨ • • ◦ ⟩".split()))
+    assert [" ".join(w) for w in words] == [
+        "⟨ • • ⟩",
+        "⟨ • ◦ • ⟩",
+        "⟨ • ◦ ◦ ⟩",
+        "⟨ ◦ • ◦ ⟩",
+        "⟨ • • ◦ ◦ ⟩",
+    ]
+    assert not truncated
+    assert grow.successors(tuple("⟨ • • ◦ ⟩".split()), cap=4) == (words[:4], True)
+    # not padding-valid: a (#, a) loop whose state accepts only after a/a,
+    # which no successor can read, must not keep the run going
+    stuck = Rts(
+        words_nfa(A, {("a",)}),
+        mk_t(A, A, [("s", "a/a", "f"), ("s", "#/a", "g"), ("g", "#/a", "g"), ("g", "a/a", "f")],
+             ["s"], ["f"]),
+    )
+    assert stuck.successors(("a",)) == ((("a",),), False)
+    assert stuck.successors(()) == ((), False)
     noisy = Rts(
         words_nfa(AB, {("a",)}),
         mk_t(AB, AB, [("s", "a/a", "t"), ("s", "a/b", "t")], ["s"], ["t"]),
@@ -69,6 +107,24 @@ def test_successors_ordering_and_cap():
         from rmc.oracle import SimulationConfig, simulate
 
         simulate(noisy, ("a",), SimulationConfig(runs=1, max_steps=2, successor_cap=1))
+
+
+def test_successors_match_the_post_image():
+    # the direct run against the image of the one-word language, with caps
+    # small enough to truncate
+    rng = random.Random(505)
+    for i in range(120):
+        if i % 2:
+            delta = random_padded_transducer(rng, AB, AB)
+        else:
+            delta = random_lp_transducer(rng, AB)
+        rts = Rts(universal_automaton(AB), delta)
+        for n in range(6):
+            for config in itertools.product(AB.symbols, repeat=n):
+                image = delta.post_image(word_automaton(AB, config))
+                for cap in (1, 3, 50):
+                    words, truncated = image.enumerate_words(cap)
+                    assert rts.successors(config, cap) == (tuple(words), truncated)
 
 
 def test_reachable_set_and_terminating():
