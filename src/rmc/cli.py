@@ -261,6 +261,13 @@ def _cmd_constraint(args, started: float) -> int:
     return outcome.exit_code
 
 
+def _length(text: str) -> int:
+    """Argparse type of ``--length`` and ``--max-length``."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmc",
@@ -278,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--basis", choices=("exact", "potential"), default="exact")
     check.add_argument(
         "--max-length",
-        type=int,
+        type=_length,
         default=DEFAULT_BOUND,
         help="length bound for the per-length procedures (af, agf, as-f)",
     )
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="explicit-state ground truth for one length")
     oracle.add_argument("--rts", required=True)
-    oracle.add_argument("--length", type=int, required=True)
+    oracle.add_argument("--length", type=_length, required=True)
     oracle.add_argument(
         "--property",
         required=True,

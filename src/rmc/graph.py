@@ -72,6 +72,12 @@ def cycle_through(edges, v, inside) -> list:
     return path_to(parents, v)
 
 
+def is_cyclic(members: Sequence[int], edges) -> bool:
+    """Does the strongly connected component ``members`` hold a cycle:
+    more than one member, or a single member with a self-loop?"""
+    return len(members) > 1 or members[0] in edges[members[0]]
+
+
 def tarjan(n: int, edges: Sequence[Sequence[int]]):
     """Iterative Tarjan over nodes ``0..n-1``; returns (sccs, scc_of).
 

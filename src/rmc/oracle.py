@@ -50,11 +50,6 @@ class FiniteSlice:
     def is_terminating(self, i: int) -> bool:
         return not self.edges[i]
 
-    def is_trivial_bscc(self, scc_index: int) -> bool:
-        """A trivial bottom SCC is a single terminating configuration."""
-        members = self.sccs[scc_index]
-        return len(members) == 1 and not self.edges[members[0]]
-
 
 def build_slice(
     rts: Rts, length: int, config_cap: int = DEFAULT_CONFIG_CAP, *, reachable: bool = False
@@ -156,8 +151,8 @@ def _cycle_search(slice_: FiniteSlice, starts: set, allowed: set):
     ]
     sccs, _scc_of = graph.tarjan(len(nodes), sub_edges)
     for members in sccs:
-        real = [nodes[i] for i in members]
-        if len(real) > 1 or real[0] in slice_.edges[real[0]]:
+        if graph.is_cyclic(members, sub_edges):
+            real = [nodes[i] for i in members]
             entry = min(real)
             return _lasso(slice_, graph.path_to(parents, entry), set(real))
     return None
@@ -198,7 +193,7 @@ def oracle_check(
     if prop == "EGF":
         for g in sorted(in_goal):
             scc = slice_.sccs[slice_.scc_of[g]]
-            if len(scc) > 1 or g in slice_.edges[g]:
+            if graph.is_cyclic(scc, slice_.edges):
                 nodes, loop_start = _lasso(slice_, graph.path_to(parents, g), set(scc))
                 return True, _witness(slice_, nodes, kind="lasso", loop_start=loop_start)
         return False, None
@@ -239,17 +234,19 @@ def oracle_check(
         return True, None
 
     # the rest fail at the first bad configuration in breadth-first order,
-    # so their counterexamples are shortest, then least
+    # so their counterexamples are shortest, then least; a bottom SCC
+    # without a cycle is a single terminating configuration
+    halting = {
+        si for si in slice_.bottom_sccs if not graph.is_cyclic(slice_.sccs[si], slice_.edges)
+    }
     if prop == "ASGF":
         # a bottom SCC that halts or never meets the goal
-        bad_sccs = goal_free_bottom | {
-            si for si in slice_.bottom_sccs if slice_.is_trivial_bscc(si)
-        }
+        bad_sccs = goal_free_bottom | halting
     elif prop == "AST":
         # a bottom SCC whose runs go on forever
-        bad_sccs = {si for si in slice_.bottom_sccs if not slice_.is_trivial_bscc(si)}
+        bad_sccs = slice_.bottom_sccs - halting
     else:  # DF: a terminating configuration
-        bad_sccs = {si for si in slice_.bottom_sccs if slice_.is_trivial_bscc(si)}
+        bad_sccs = halting
     for v in order:
         if slice_.scc_of[v] in bad_sccs:
             return False, _witness(slice_, graph.path_to(parents, v))

@@ -8,8 +8,9 @@ names concrete configurations.
 
 Witness step granularity differs by route: bounded checks produce
 single-step witnesses replayable against the step relation, while the
-cycle route of the repeated-reachability check produces witnesses whose
-hops are reachability-relation hops; each verdict's note says which.
+cycle route of the repeated-reachability check produces lassos whose
+first hop is a system step and whose closing hop is a
+reachability-relation hop; each verdict's note says which.
 """
 
 from __future__ import annotations
@@ -24,13 +25,7 @@ from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, RmcError
 from .nfa import Nfa, constrained_search, length_automaton, word_automaton
 from .oracle import build_slice, oracle_check
 from .rts import Rts
-from .transducer import (
-    Transducer,
-    diagonal,
-    identity_on,
-    relation_difference_identity,
-    universal,
-)
+from .transducer import Transducer, diagonal, identity_on
 from .verdict import Verdict, Witness, fails, holds, unknown
 
 DEFAULT_BOUND = 8
@@ -116,33 +111,33 @@ def check_deadlock_freedom(rts: Rts, basis: str = "exact") -> Verdict:
 def check_egf_loop(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     """Cycle route: find a reachable goal configuration on a cycle.
 
-    A configuration revisits itself either through a single self-step or
-    through some distinct intermediate configuration, so two diagonals
-    cover all cycles.  Complete on its own for length-preserving systems,
-    where any infinite run stays inside one finite length class.
+    A configuration c lies on a cycle iff (c, c) is in delta∘relation,
+    one step out and the relation back, provided the relation contains
+    the identity and delta (:meth:`Rts.validate` and
+    :func:`~rmc.abstraction.validate_preach` check both).  The lasso
+    starts at the least such c and goes through its least successor
+    that the relation leads back from.  Complete on its own for
+    length-preserving systems, where any infinite run stays inside one
+    finite length class.
     """
     _check_goal(rts, goal)
+    relation = rts.relation(basis)
+    on_cycle = diagonal(rts.delta.compose(relation))
     reachable_goal = rts.reachable_set(basis).intersect(goal)
-    self_stepping = reachable_goal.intersect(diagonal(rts.delta))
-    config = self_stepping.shortest_word()
-    if config is not None:
+    config = reachable_goal.intersect(on_cycle).shortest_word()
+    if config is None:
+        return fails(note="no reachable goal configuration lies on a cycle")
+    if rts.delta.accepts_pair(config, config):
         return holds(
             witness=Witness("lasso", (config,), loop_start=0),
             note="the loop is a single step of the system",
         )
-    relation = rts.relation(basis)
-    strict = relation_difference_identity(relation)
-    round_trip = diagonal(strict.compose(strict))
-    config = reachable_goal.intersect(round_trip).shortest_word()
-    if config is not None:
-        here = word_automaton(rts.alphabet, config)
-        other = strict.post_image(here).intersect(strict.pre_image(here))
-        via = other.shortest_word()
-        return holds(
-            witness=Witness("lasso", (config, via), loop_start=0),
-            note="loop steps are reachability-relation hops",
-        )
-    return fails(note="no reachable goal configuration lies on a cycle")
+    here = word_automaton(rts.alphabet, config)
+    via = rts.delta.post_image(here).intersect(relation.pre_image(here)).shortest_word()
+    return holds(
+        witness=Witness("lasso", (config, via), loop_start=0),
+        note="loop steps are reachability-relation hops",
+    )
 
 
 def _pair_index(t: Transducer):
@@ -173,9 +168,7 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
             note="the growth route does not apply to length-preserving systems"
         )
     relation = rts.relation(basis)
-    sigma = rts.alphabet
-    into_goal = universal(sigma, sigma).compose(identity_on(goal))
-    chain = relation.intersect(into_goal).trim()
+    chain = relation.compose(identity_on(goal)).trim()
     if chain.is_empty():
         return fails(note="no reachability pair lands in the goal")
     reach_lang = rts.reachable_set(basis).trim()
@@ -184,7 +177,7 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
 
     real, pad_bottom = _pair_index(chain)
     final = chain.final
-    symbols = sigma.symbols
+    symbols = rts.alphabet.symbols
 
     def explore(parents: dict, labels: dict, first_step: dict):
         """Breadth-first from the roots in ``parents`` over state triples:
@@ -266,11 +259,7 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     position = {node: i for i, node in enumerate(nodes)}
     adjacency = [sorted(position[t] for t in comb[node]) for node in nodes]
     sccs, scc_of = graph.tarjan(len(nodes), adjacency)
-    cyclic = {
-        si
-        for si, members in enumerate(sccs)
-        if len(members) > 1 or members[0] in adjacency[members[0]]
-    }
+    cyclic = {si for si, members in enumerate(sccs) if graph.is_cyclic(members, adjacency)}
     if not cyclic:
         return fails(note="no comb of reachable configurations can grow forever")
 

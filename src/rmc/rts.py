@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import graph
 from .alphabet import PAD, Alphabet, Word, unconvolve
 from .errors import AlphabetMismatch, MissingRelation, PaddingViolation
-from .nfa import Nfa, universal_automaton
+from .nfa import Nfa
 from .transducer import Transducer, identity
 
 
@@ -122,8 +122,7 @@ class Rts:
         """
         key = "terminating"
         if key not in self._cache:
-            has_successor = self.delta.pre_image(universal_automaton(self.alphabet))
-            self._cache[key] = has_successor.complement()
+            self._cache[key] = self.delta.project(1).complement()
         return self._cache[key]
 
     def successors(self, config: Word, cap: int | None = None) -> tuple[tuple[Word, ...], bool]:

@@ -170,6 +170,19 @@ def test_abstract_sure_termination():
     assert verdict.witness is not None
 
 
+def test_sure_termination_needs_a_real_step_on_the_cycle():
+    """preach relates a and c both ways, but no step leaves c and the one
+    step from a leads to the dead end b, so no potential run is endless."""
+    delta = mk_t(ABC, ABC, [("s", "a/b", "t")], ["s"], ["t"])
+    hops = [("e", f"{x}/{y}", "f") for x, y in ("ab", "ac", "ca", "cb")]
+    same = [("d", f"{x}/{x}", "d") for x in "abc"]
+    preach = mk_t(ABC, ABC, same + hops, ["d", "e"], ["d", "f"])
+    rts = Rts(words_nfa(ABC, {("a",)}), delta, preach=preach)
+    assert validate_preach(rts).ok
+    verdict = abstract_sure_termination(rts)
+    assert verdict.holds, verdict.note
+
+
 def test_abstract_liveness():
     assert abstract_liveness(spin_rts(), words_nfa(AB, {("b",)})).holds
     assert abstract_liveness(toggle_rts(), words_nfa(AB, {("b",)})).fails

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from rmc import parse_automaton
 from rmc.cli import bundled_examples, main
 
@@ -193,7 +195,23 @@ def test_oracle_bad_length(capsys):
         "--goal", "done",
     )
     assert code == 3
-    assert err.startswith("error:")
+    assert "error: argument --length: must be a non-negative integer, got '-1'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("check", "af", "--rts", "herman-lp", "--goal", "one-token"), "--max-length"),
+        (("oracle", "--rts", "toggle", "--property", "ef", "--goal", "done"), "--length"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_lengths_are_checked_when_parsed(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv, flag, value)
+    assert code == 3
+    assert not out
+    assert f"error: argument {flag}: must be a non-negative integer, got {value!r}" in err
+    assert "not among states" not in err
 
 
 def test_simulate_deterministic(capsys):

@@ -25,8 +25,12 @@ from rmc import (
     check_egf,
     check_egf_clique,
     check_egf_loop,
+    identity_on,
     length_automaton,
+    load_automaton,
+    load_rts_bundle,
     run_check,
+    universal,
     universal_automaton,
 )
 from rmc.oracle import build_slice, oracle_check
@@ -43,6 +47,7 @@ from support import (
     words_nfa,
 )
 
+DATA = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data"
 SUCC = mk_t(A, A, [("s", "a/a", "s"), ("s", "#/a", "t")], ["s"], ["t"])
 GROW = mk_t(A, A, [("r", "a/a", "r"), ("r", "#/a", "r2"), ("r2", "#/a", "r2")], ["r"], ["r", "r2"])
 
@@ -219,6 +224,60 @@ def test_egf_clique_witness_is_pinned(seed, configurations):
     assert verdict.witness.configurations == configurations
 
 
+def test_chain_into_the_goal_is_one_composition():
+    """The growth route's chain, R∘id(goal), is the old R ∩ (Σ*×Σ*)∘id(goal)
+    and stays padding-valid."""
+    nonempty = 0
+    for seed in range(400):
+        rts, goal = _growing_rts(seed)
+        sigma = rts.alphabet
+        old = rts.reach.intersect(universal(sigma, sigma).compose(identity_on(goal)))
+        chain = rts.reach.compose(identity_on(goal)).trim()
+        assert chain.includes(old)[0] and old.includes(chain)[0], seed
+        chain.validate_padding()
+        nonempty += not chain.is_empty()
+    assert nonempty > 100
+
+
+def _per_length(rts, n):
+    return Rts(
+        rts.initial.intersect(length_automaton(rts.alphabet, n)),
+        rts.delta,
+        reach=rts.reach,
+        preach=rts.preach,
+    )
+
+
+def test_egf_loop_lasso_is_a_step_then_a_hop_back():
+    """A two-configuration loop lasso (c, d) steps from c to d and hops
+    back from d to c under the relation."""
+    cases = []
+    rng = random.Random(2024)
+    for _ in range(60):
+        rts, goal = random_lp_rts(rng)
+        cases += [(_per_length(rts, n), goal, "exact") for n in range(1, 5)]
+    herman = DATA / "herman-lp"
+    rts = load_rts_bundle(herman / "bundle.rts")
+    for goal_file in sorted(herman.glob("*.nfa")):
+        for basis in ("exact", "potential"):
+            cases.append((rts, load_automaton(goal_file), basis))
+    hops = 0
+    for rts, goal, basis in cases:
+        verdict = check_egf_loop(rts, goal, basis)
+        if not verdict.holds:
+            continue
+        configurations = verdict.witness.configurations
+        if len(configurations) == 1:
+            (c,) = configurations
+            assert rts.delta.accepts_pair(c, c)
+        else:
+            c, d = configurations
+            assert rts.delta.accepts_pair(c, d)
+            assert rts.relation(basis).accepts_pair(d, c)
+            hops += 1
+    assert hops >= 10
+
+
 _WITNESS_CORPUS = """
 from rmc import run_check
 from test_procedures import _growing_rts
@@ -259,12 +318,7 @@ def test_agreement_with_oracle_sample():
         rts, goal = random_lp_rts(rng, max_length=3)
         for n in range(1, 4):
             sliced = build_slice(rts, n)
-            per_length = Rts(
-                rts.initial.intersect(length_automaton(rts.alphabet, n)),
-                rts.delta,
-                reach=rts.reach,
-                preach=rts.preach,
-            )
+            per_length = _per_length(rts, n)
             for name, prop in PROPERTIES.items():
                 if prop.oracle is None:
                     continue

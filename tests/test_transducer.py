@@ -113,6 +113,37 @@ def test_compose_lp_brute_force():
         assert relation(composed) == joined
 
 
+def test_padded_relation_laws_brute_force():
+    """compose, the images and inverse on padded relations, compared with
+    enumeration on words of up to 3 letters.  Each padded phase of
+    random_padded_transducer has at most two states, so past the longer
+    of the compared words a witness runs through at most 2 × 2 product
+    states and never needs more than 3 further letters: middle words and
+    image sources of up to 6 letters decide every compared pair."""
+    rng = random.Random(53)
+    short, long = list(all_words(AB, 3)), list(all_words(AB, 6))
+
+    def pairs(t, tops, bottoms):
+        return {(x, y) for x in tops for y in bottoms if t.accepts_pair(x, y)}
+
+    for _ in range(40):
+        t1 = random_padded_transducer(rng, AB, AB)
+        t2 = random_padded_transducer(rng, AB, AB)
+        lang = random_nfa(rng, AB, max_states=2)
+        r1, r2 = pairs(t1, short, long), pairs(t2, long, short)
+        joined = {(x, z) for (x, y) in r1 for (y2, z) in r2 if y == y2}
+        assert pairs(t1.compose(t2), short, short) == joined
+        assert relation(t1.inverse()) == {(y, x) for (x, y) in relation(t1)}
+        post = t1.post_image(lang)
+        assert {y for y in short if post.accepts(y)} == {
+            y for (x, y) in pairs(t1, long, short) if lang.accepts(x)
+        }
+        pre = t1.pre_image(lang)
+        assert {x for x in short if pre.accepts(x)} == {
+            x for (x, y) in r1 if lang.accepts(y)
+        }
+
+
 def test_compose_padded_examples():
     plus_two = SUCC.compose(SUCC)
     assert plus_two.accepts_pair((), ("a", "a"))
