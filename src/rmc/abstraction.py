@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alphabet import Word, unconvolve
+from .alphabet import Word
 from .errors import AlphabetMismatch, DeterminismViolation, MissingRelation
 from .nfa import Nfa, universal_automaton, word_automaton
-from .procedures import _locate, check_egf
-from .rts import CheckResult, PropertyGoal, Rts, ValidationReport
+from .procedures import _DRIFT_NOTE, _locate, check_egf
+from .rts import PropertyGoal, Rts, ValidationReport, inclusion_checks
 from .transducer import Transducer, identity
-from .verdict import Verdict, fails, holds
+from .verdict import Verdict, fails, holds, unknown
 
 
 @dataclass(frozen=True)
@@ -87,17 +87,11 @@ def validate_preach(rts: Rts) -> ValidationReport:
     """Check the supplied potential-reachability relation is reflexive,
     transitive, and contains the step relation."""
     potential = rts.relation("potential")
-    checks = []
-    for name, smaller in (
+    return ValidationReport(inclusion_checks(potential, (
         ("identity-within-preach", identity(rts.alphabet)),
         ("delta-within-preach", rts.delta),
         ("preach-transitive", potential.compose(potential)),
-    ):
-        ok, cex = potential.includes(smaller)
-        checks.append(
-            CheckResult(name, ok, None if cex is None else unconvolve(cex))
-        )
-    return ValidationReport(tuple(checks))
+    )))
 
 
 def abstract_safety(rts: Rts, unsafe: Nfa) -> Verdict:
@@ -143,7 +137,8 @@ def abstract_as_liveness(rts: Rts, goal: PropertyGoal) -> Verdict:
     Needs the exact pre-image of the goal as an input, alongside the
     potential-reachability relation.  Holds proves the concrete property;
     Fails only means the abstraction is inconclusive, and the note says
-    so.
+    so.  A system that is not length-preserving gets Unknown instead of
+    Holds.
     """
     if goal.pre_of_goal is None:
         raise MissingRelation(
@@ -152,15 +147,17 @@ def abstract_as_liveness(rts: Rts, goal: PropertyGoal) -> Verdict:
     can_step = rts.delta.project(1)
     target = can_step.intersect(goal.pre_of_goal)
     ok, escape = target.includes(rts.reachable_set("potential"))
-    if ok:
-        return holds(
-            note="every potentially reachable configuration can step and can "
-            "reach the goal, so the concrete system visits the goal "
-            "infinitely often almost surely"
+    if not ok:
+        return fails(
+            witness=_locate(rts, escape, "potential"),
+            note="abstraction inconclusive: a potentially reachable configuration "
+            "either has no successor or lies outside the supplied goal "
+            "pre-image; the concrete property itself may still hold either way",
         )
-    return fails(
-        witness=_locate(rts, escape, "potential"),
-        note="abstraction inconclusive: a potentially reachable configuration "
-        "either has no successor or lies outside the supplied goal "
-        "pre-image; the concrete property itself may still hold either way",
+    note = "every potentially reachable configuration can step and can reach the goal"
+    if not rts.length_preserving:
+        return unknown(note=f"{note}, but {_DRIFT_NOTE}")
+    return holds(
+        note=f"{note}, so the concrete system visits the goal infinitely often"
+        " almost surely"
     )

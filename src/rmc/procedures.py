@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import graph
-from .alphabet import Word
+from .alphabet import PAD, Word
 from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, RmcError
 from .nfa import Nfa, constrained_search, length_automaton, word_automaton
 from .oracle import build_slice, oracle_check
@@ -144,9 +144,9 @@ def _pair_index(t: Transducer):
     real: dict = {}
     pad_bottom: dict = {}
     for (q, sym), dsts in t.transitions.items():
-        if sym.top == "#":
+        if sym.top == PAD:
             pad_bottom.setdefault((q, sym.bottom), []).extend(dsts)
-        elif sym.bottom != "#":
+        elif sym.bottom != PAD:
             real.setdefault((q, sym.top, sym.bottom), []).extend(dsts)
     return real, pad_bottom
 
@@ -168,10 +168,10 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
             note="the growth route does not apply to length-preserving systems"
         )
     relation = rts.relation(basis)
-    chain = relation.compose(identity_on(goal)).trim()
+    chain = relation.compose(identity_on(goal))
     if chain.is_empty():
         return fails(note="no reachability pair lands in the goal")
-    reach_lang = rts.reachable_set(basis).trim()
+    reach_lang = rts.reachable_set(basis)
     if not reach_lang.states:
         return fails(note="the reachable set is empty")
 
@@ -305,18 +305,29 @@ def check_egf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
 # -- almost-sure checks ----------------------------------------------------------
 
 
+# Every reachable configuration reaching a target proves the target is hit
+# almost surely only when each run stays inside finitely many configurations.
+_DRIFT_NOTE = (
+    "the system is not length-preserving, so a run can drift through"
+    " infinitely many configurations"
+)
+
+
 def check_as_gf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     """Does a random run visit the goal infinitely often with probability
     one?  Fails exactly when some reachable configuration either has no
-    successor or cannot reach the goal at all."""
+    successor or cannot reach the goal at all.  Otherwise holds on a
+    length-preserving system, or when every reachable configuration is a
+    goal configuration with a successor; else Unknown."""
     _check_goal(rts, goal)
     domain = rts.delta.project(1)
     can_reach_goal = rts.relation(basis).pre_image(goal)
     found = _reachable_outside(rts, basis, [domain, can_reach_goal])
     if found is None:
-        return holds(
-            note="every reachable configuration can step and can reach the goal"
-        )
+        note = "every reachable configuration can step and can reach the goal"
+        if rts.length_preserving or _reachable_outside(rts, basis, [domain, goal]) is None:
+            return holds(note=note)
+        return unknown(note=f"{note}, but {_DRIFT_NOTE}")
     reason = (
         "a reachable configuration has no successor"
         if not domain.accepts(found)
@@ -328,13 +339,15 @@ def check_as_gf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
 def check_as_termination(rts: Rts, basis: str = "exact") -> Verdict:
     """Does a random run reach a successor-free configuration with
     probability one?  Fails exactly when some reachable configuration
-    cannot reach any successor-free one."""
+    cannot reach any successor-free one; otherwise holds on a
+    length-preserving system and is Unknown on any other."""
     can_halt = rts.relation(basis).pre_image(rts.terminating())
     found = _reachable_outside(rts, basis, [can_halt])
     if found is None:
-        return holds(
-            note="every reachable configuration can reach a successor-free one"
-        )
+        note = "every reachable configuration can reach a successor-free one"
+        if not rts.length_preserving:
+            return unknown(note=f"{note}, but {_DRIFT_NOTE}")
+        return holds(note=note)
     return fails(
         witness=_locate(rts, found, basis),
         note="a reachable configuration cannot reach any successor-free one",

@@ -40,6 +40,17 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def inclusion_checks(relation: Transducer, named) -> tuple[CheckResult, ...]:
+    """One check per ``(name, smaller)`` pair: is the relation ``smaller``
+    within ``relation``?  A failed check names a shortest pair of
+    ``smaller`` that ``relation`` lacks."""
+    checks = []
+    for name, smaller in named:
+        ok, cex = relation.includes(smaller)
+        checks.append(CheckResult(name, ok, None if ok else unconvolve(cex)))
+    return tuple(checks)
+
+
 @dataclass(frozen=True)
 class PropertyGoal:
     """A goal language, optionally with a caller-supplied pre-image.
@@ -214,19 +225,9 @@ class Rts:
             )
 
         if self.reach is not None:
-            ident = identity(self.alphabet)
-            ok, cex = self.reach.includes(ident)
-            checks.append(
-                CheckResult(
-                    "identity-within-reach", ok, None if ok else unconvolve(cex)
-                )
-            )
-            ok, cex = self.reach.includes(self.delta)
-            checks.append(
-                CheckResult("delta-within-reach", ok, None if ok else unconvolve(cex))
-            )
-            ok, cex = self.reach.includes(self.reach.compose(self.delta))
-            checks.append(
-                CheckResult("reach-closed-under-delta", ok, None if ok else unconvolve(cex))
-            )
+            checks += inclusion_checks(self.reach, (
+                ("identity-within-reach", identity(self.alphabet)),
+                ("delta-within-reach", self.delta),
+                ("reach-closed-under-delta", self.reach.compose(self.delta)),
+            ))
         return ValidationReport(tuple(checks))

@@ -7,19 +7,36 @@ never reads a real symbol after padding on the same track; see
 :meth:`Transducer.validate_padding`.
 
 The relation algebra lives here: inversion, track projection, relational
-composition, and forward/backward images of regular languages.  State
-counts stay within the classical bounds (inverse and projection keep the
-state set; composition stays within l1 * l2; images within n * l).
+composition, and forward/backward images of regular languages.  Inverse
+and projection keep the state set; composition builds at most
+(l1 + 1) * (l2 + 1) states before trimming, one extra per side for a side
+whose words have ended; an image of an n-state language under an l-state
+transducer has at most (n + 1) * l.  Projection and composition assume
+padding-valid operands, which loading checks.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from . import graph
 from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word, convolve
 from .errors import AlphabetMismatch, PaddingViolation
 from .nfa import Nfa
+
+# the state a composed side moves to once its words have ended; a private
+# object, so it equals no state of a caller's transducer
+_DONE = object()
+
+
+def _moves_by_middle(t: "Transducer", middle: str, outer: str) -> dict:
+    """Index ``t`` for composition: (state, middle symbol or #) to a list of
+    (outer symbol or #, targets), plus a (#, #) move to DONE from every
+    final state and from DONE itself."""
+    index: dict = {}
+    for (q, sym), dsts in t.transitions.items():
+        index.setdefault((q, getattr(sym, middle)), []).append((getattr(sym, outer), dsts))
+    for q in (*t.final, _DONE):
+        index.setdefault((q, PAD), []).append((PAD, (_DONE,)))
+    return index
 
 
 class Transducer(Nfa):
@@ -92,132 +109,83 @@ class Transducer(Nfa):
     def project(self, track: int) -> Nfa:
         """Project onto track 1 (top) or 2 (bottom); at most the same states.
 
-        Transitions whose kept symbol is padding become silent and are
-        eliminated by forward closure, so the result is a plain NFA.
+        The transducer must be padding-valid (:meth:`validate_padding`,
+        which bundle loading and :class:`~rmc.abstraction.Interpretation`
+        run): once the kept track pads, it pads to the end.  So a move that
+        pads the kept track reads nothing and only decides acceptance: a
+        state accepts when such moves lead from it to a final state.
         """
         if track not in (1, 2):
             raise ValueError("track must be 1 (top) or 2 (bottom)")
         keep = "top" if track == 1 else "bottom"
         target = self.top if track == 1 else self.bottom
 
-        silent: dict = {}
-        real_moves: dict = {}
+        transitions: dict = {}
+        silent_back: dict = {}
         for (q, sym), dsts in self.transitions.items():
             kept = getattr(sym, keep)
             if kept == PAD:
-                silent.setdefault(q, set()).update(dsts)
+                for r in dsts:
+                    silent_back.setdefault(r, []).append(q)
             else:
-                real_moves.setdefault(q, []).append((kept, dsts))
-
-        closures = {
-            q: graph.closure((q,), lambda p: silent.get(p, ())) for q in self.states
-        }
-
-        transitions: dict = {}
-        for q in self.states:
-            per_symbol: dict = {}
-            for p in closures[q]:
-                for kept, dsts in real_moves.get(p, ()):
-                    per_symbol.setdefault(kept, set()).update(dsts)
-            for kept, dsts in per_symbol.items():
-                transitions[(q, kept)] = tuple(dsts)
-        final = [q for q in self.states if closures[q] & self.final]
+                transitions.setdefault((q, kept), []).extend(dsts)
+        final = graph.closure(self.final, lambda r: silent_back.get(r, ()))
         return Nfa(target, self.states, transitions, self.initial, final).trim()
 
     def compose(self, other: "Transducer") -> "Transducer":
         """Relational composition: pairs (x, z) with some y relating both sides.
 
-        Runs a synchronized product over reachable state pairs.  Positions
-        where the shared middle word outlives both outer tracks cannot be
-        read by the result, so a product pair accepts iff the two runs can
-        finish on a common middle remainder: top side reading (#, y_i),
-        bottom side reading (y_i, #).  That acceptance set is precomputed
-        by one backward closure over the pair graph.  At most l1 * l2
-        states before trimming.
+        Both sides must be padding-valid.  One breadth-first pass over
+        reachable state pairs, both sides reading the same middle symbol,
+        or # once the middle word has ended.  A side whose words have both
+        ended moves from a final state to a private DONE state by (#, #),
+        and DONE only repeats that move, so an ended side never moves again
+        and the result is padding-valid too.  A pair move that writes
+        (#, #) reads nothing: the middle word outlives both outer words, or
+        both sides are done.  Such moves only decide acceptance, which is
+        one closure back from (DONE, DONE) over them.  At most
+        (l1 + 1) * (l2 + 1) states before trimming.
         """
         if self.bottom != other.top:
             raise AlphabetMismatch(
                 "composition needs the first bottom alphabet to equal the second top"
             )
-        mid = self.bottom
-
-        # index transitions by (state, middle symbol)
-        left_by_mid: dict = {}
-        for (q, sym), dsts in self.transitions.items():
-            left_by_mid.setdefault((q, sym.bottom), []).append((sym.top, dsts))
-        right_by_mid: dict = {}
-        for (q, sym), dsts in other.transitions.items():
-            right_by_mid.setdefault((q, sym.top), []).append((sym.bottom, dsts))
-
-        # acceptance: backward closure from F1 x F2 over common-remainder moves,
-        # i.e. left reads (#, b) while right reads (b, #) for the same b
-        rev: dict = {}
-        for p in self.states:
-            for b in mid.symbols:
-                left_pad_moves = [
-                    p_dsts
-                    for a, p_dsts in left_by_mid.get((p, b), ())
-                    if a == PAD
-                ]
-                if not left_pad_moves:
-                    continue
-                for q in other.states:
-                    for c, q_dsts in right_by_mid.get((q, b), ()):
-                        if c != PAD:
-                            continue
-                        for p_dsts in left_pad_moves:
-                            for p2 in p_dsts:
-                                for q2 in q_dsts:
-                                    rev.setdefault((p2, q2), set()).add((p, q))
-        good = graph.closure(
-            ((p, q) for p in self.final for q in other.final),
-            lambda node: rev.get(node, ()),
-        )
-
-        # forward product over the composed pair alphabet
-        middles = mid.symbols + (PAD,)
+        left = _moves_by_middle(self, "bottom", "top")
+        right = _moves_by_middle(other, "top", "bottom")
+        middles = self.bottom.symbols + (PAD,)
         start = [
             (p, q)
             for p in self.states if p in self.initial
             for q in other.states if q in other.initial
         ]
-        seen = dict.fromkeys(start)
-        queue = deque(start)
+        # ``order`` grows while it is walked, which makes this breadth-first
+        order = list(start)
+        seen = set(start)
         transitions: dict = {}
-        while queue:
-            p, q = queue.popleft()
-            per_symbol: dict = {}
-            p_final = p in self.final
-            q_final = q in other.final
+        silent_back: dict = {}
+        for node in order:
+            p, q = node
             for b in middles:
-                lefts = left_by_mid.get((p, b), ())
-                if b == PAD and p_final:
-                    lefts = list(lefts) + [(PAD, (p,))]
-                if not lefts:
+                rights = right.get((q, b))
+                if not rights:
                     continue
-                rights = right_by_mid.get((q, b), ())
-                if b == PAD and q_final:
-                    rights = list(rights) + [(PAD, (q,))]
-                for a, p_dsts in lefts:
+                for a, p_dsts in left.get((p, b), ()):
                     for c, q_dsts in rights:
+                        targets = [(p2, q2) for p2 in p_dsts for q2 in q_dsts]
                         if a == PAD and c == PAD:
-                            continue  # remainder moves are folded into acceptance
-                        sym = PairSymbol(a, c)
-                        bucket = per_symbol.setdefault(sym, set())
-                        for p2 in p_dsts:
-                            for q2 in q_dsts:
-                                bucket.add((p2, q2))
-            for sym, dsts in per_symbol.items():
-                transitions[((p, q), sym)] = tuple(dsts)
-                for node in dsts:
-                    if node not in seen:
-                        seen[node] = None
-                        queue.append(node)
-
-        states = tuple(seen)
-        final = [node for node in states if node in good]
+                            for target in targets:
+                                silent_back.setdefault(target, []).append(node)
+                        else:
+                            transitions.setdefault((node, PairSymbol(a, c)), []).extend(
+                                targets
+                            )
+                        for target in targets:
+                            if target not in seen:
+                                seen.add(target)
+                                order.append(target)
+        final = graph.closure([(_DONE, _DONE)], lambda n: silent_back.get(n, ()))
         return Transducer(
-            self.top, other.bottom, states, transitions, start, final
+            self.top, other.bottom, order, transitions, start, final & seen
         ).trim()
 
     # -- images ------------------------------------------------------------------

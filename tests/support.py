@@ -52,6 +52,17 @@ def mk_t(top, bottom, triples, initial, final, states=None):
     return Transducer(top, bottom, states, transitions, initial, final)
 
 
+# a step appends a letter or drops the last one; from ε it can only append
+DRIFT = mk_t(
+    AB,
+    AB,
+    [("c", "a/a", "c"), ("c", "b/b", "c"), ("c", "#/a", "g"), ("c", "#/b", "g"),
+     ("c", "a/#", "s"), ("c", "b/#", "s")],
+    ["c"],
+    ["g", "s"],
+)
+
+
 def random_nfa(rng: random.Random, alphabet: Alphabet, max_states: int = 12) -> Nfa:
     n = rng.randint(1, max_states)
     states = list(range(n))

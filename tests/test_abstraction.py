@@ -19,12 +19,15 @@ from rmc import (
     exists_infinite_potential_run,
     identity,
     is_inductive,
+    length_automaton,
     separates,
     slice_closure,
+    universal,
+    universal_automaton,
     validate_preach,
 )
 from rmc.oracle import build_slice, oracle_check
-from support import AB, ABC, mk_t, random_lp_rts, words_nfa
+from support import AB, ABC, DRIFT, mk_t, random_lp_rts, words_nfa
 
 C = Alphabet(["c"])
 
@@ -202,6 +205,19 @@ def test_abstract_as_liveness():
 
     with pytest.raises(MissingRelation):
         abstract_as_liveness(spin_rts(), PropertyGoal(words_nfa(AB, {("b",)})))
+
+
+def test_abstract_as_liveness_on_a_drift_walk_is_unknown():
+    """Every word can step and reach the goal of short words, but the
+    length walks up with probability 2/3 and leaves the goal behind."""
+    rts = Rts(words_nfa(AB, {()}), DRIFT, preach=universal(AB, AB))
+    assert validate_preach(rts).ok
+    goal = PropertyGoal(
+        length_automaton(AB, 1, upto=True), pre_of_goal=universal_automaton(AB)
+    )
+    verdict = abstract_as_liveness(rts, goal)
+    assert verdict.unknown
+    assert "not length-preserving" in verdict.note
 
 
 def test_abstract_as_liveness_matches_oracle():

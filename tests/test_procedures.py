@@ -39,6 +39,7 @@ from support import (
     A,
     AB,
     ABC,
+    DRIFT,
     mk_t,
     random_lp_rts,
     random_nfa,
@@ -128,6 +129,50 @@ def test_as_gf_and_termination():
     assert check_as_gf(walk, universal_automaton(A)).holds
     assert check_as_termination(walk).fails
     assert check_deadlock_freedom(walk).holds
+
+
+def test_drift_walk_is_not_almost_surely_recurrent():
+    """The length walks up with probability 2/3, so a goal of short words
+    is visited only finitely often, yet every configuration can reach it."""
+    rts = Rts(words_nfa(AB, {()}), DRIFT, reach=universal(AB, AB))
+    assert rts.validate().ok
+    short = length_automaton(AB, 1, upto=True)
+    verdict = check_as_gf(rts, short)
+    assert verdict.unknown
+    assert "not length-preserving" in verdict.note
+    assert check_as_gf(rts, universal_automaton(AB)).holds
+
+
+def test_drift_walk_with_a_dead_end_may_run_forever():
+    """With ε a dead end, a walk from aaa ends with probability only 1/8,
+    although every configuration can reach ε.  Reach is exact: ε reaches
+    only itself, any other word reaches ε and every word that shares its
+    first letter."""
+    delta = mk_t(
+        AB,
+        AB,
+        [("i", "a/a", "c"), ("i", "b/b", "c"), ("i", "a/#", "s"), ("i", "b/#", "s"),
+         ("c", "a/a", "c"), ("c", "b/b", "c"), ("c", "#/a", "g"), ("c", "#/b", "g"),
+         ("c", "a/#", "s"), ("c", "b/#", "s")],
+        ["i"],
+        ["g", "s"],
+    )
+    rest = [f"{x}/{y}" for x in "ab" for y in "ab"]
+    reach = mk_t(
+        AB,
+        AB,
+        [("i", "a/a", "m"), ("i", "b/b", "m"), ("i", "a/#", "t"), ("i", "b/#", "t")]
+        + [("m", label, "m") for label in rest]
+        + [(q, f"{x}/#", "t") for q in "mt" for x in "ab"]
+        + [(q, f"#/{y}", "u") for q in "mu" for y in "ab"],
+        ["i"],
+        ["i", "m", "t", "u"],
+    )
+    rts = Rts(words_nfa(AB, {("a", "a", "a")}), delta, reach=reach)
+    assert rts.validate().ok
+    verdict = check_as_termination(rts)
+    assert verdict.unknown
+    assert "not length-preserving" in verdict.note
 
 
 def test_bounded_procedures():

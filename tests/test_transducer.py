@@ -4,6 +4,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmc import (
     PaddingViolation,
@@ -119,7 +121,8 @@ def test_padded_relation_laws_brute_force():
     random_padded_transducer has at most two states, so past the longer
     of the compared words a witness runs through at most 2 × 2 product
     states and never needs more than 3 further letters: middle words and
-    image sources of up to 6 letters decide every compared pair."""
+    image sources of up to 6 letters decide every compared pair.  Every
+    composition is padding-valid and accepts only convolutions."""
     rng = random.Random(53)
     short, long = list(all_words(AB, 3)), list(all_words(AB, 6))
 
@@ -132,7 +135,13 @@ def test_padded_relation_laws_brute_force():
         lang = random_nfa(rng, AB, max_states=2)
         r1, r2 = pairs(t1, short, long), pairs(t2, long, short)
         joined = {(x, z) for (x, y) in r1 for (y2, z) in r2 if y == y2}
-        assert pairs(t1.compose(t2), short, short) == joined
+        composed = t1.compose(t2)
+        assert pairs(composed, short, short) == joined
+        composed.validate_padding()
+        assert not [
+            w for w in all_words(composed.alphabet, 3)
+            if composed.accepts(w) and convolve(*unconvolve(w)) != w
+        ]
         assert relation(t1.inverse()) == {(y, x) for (x, y) in relation(t1)}
         post = t1.post_image(lang)
         assert {y for y in short if post.accepts(y)} == {
@@ -142,6 +151,42 @@ def test_padded_relation_laws_brute_force():
         assert {x for x in short if pre.accepts(x)} == {
             x for (x, y) in r1 if lang.accepts(y)
         }
+
+
+# random_padded_transducer with max_states=4 has one state per phase
+padded_transducers = st.randoms(use_true_random=False).map(
+    lambda rng: random_padded_transducer(rng, AB, AB, max_states=4)
+)
+
+
+def same_relation(t1, t2):
+    """Exact language equality; padding-valid transducers accept only
+    convolutions, so their languages are their relations."""
+    return t1.includes(t2)[0] and t2.includes(t1)[0]
+
+
+_LAWS = settings(derandomize=True, deadline=None, database=None, max_examples=30)
+
+
+@_LAWS
+@given(padded_transducers, padded_transducers, padded_transducers)
+def test_compose_is_associative(t1, t2, t3):
+    assert same_relation(t1.compose(t2).compose(t3), t1.compose(t2.compose(t3)))
+
+
+@_LAWS
+@given(padded_transducers, padded_transducers)
+def test_inverse_of_composition(t1, t2):
+    assert same_relation(
+        t1.compose(t2).inverse(), t2.inverse().compose(t1.inverse())
+    )
+
+
+@_LAWS
+@given(padded_transducers)
+def test_identity_is_neutral(t):
+    assert same_relation(t.compose(identity(AB)), t)
+    assert same_relation(identity(AB).compose(t), t)
 
 
 def test_compose_padded_examples():
