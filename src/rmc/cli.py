@@ -24,7 +24,7 @@ from .abstraction import (
     separates,
     validate_preach,
 )
-from .errors import CapExceeded, ParseError, RmcError
+from .errors import CapExceeded, ParseError, RmcError, SuccessorCapExceeded
 from .formats import load_automaton, load_rts_bundle, save_automaton, serialize_automaton
 from .nfa import Nfa
 from .oracle import SimulationConfig, build_slice, dump_slice, oracle_check, simulate
@@ -173,9 +173,13 @@ def _cmd_simulate(args, started: float) -> int:
     loaded = _Loaded(args.rts)
     goal = loaded.language(args.goal) if args.goal else None
     config = SimulationConfig(runs=args.runs, max_steps=args.steps, seed=args.seed)
-    stats = simulate(loaded.rts, parse_word(args.start), config, goal=goal)
-    rep = Report(command="simulate", outcome=None, stats=stats)
-    _emit(rep, args.json, started)
+    try:
+        stats = simulate(loaded.rts, parse_word(args.start), config, goal=goal)
+    except SuccessorCapExceeded as err:
+        verdict = unknown(note=f"the walks stopped: {err}")
+        _emit(report_mod.from_verdict("simulate", verdict), args.json, started)
+        return verdict.outcome.exit_code
+    _emit(Report(command="simulate", outcome=None, stats=stats), args.json, started)
     return 0
 
 
@@ -261,10 +265,17 @@ def _cmd_constraint(args, started: float) -> int:
     return outcome.exit_code
 
 
-def _length(text: str) -> int:
-    """Argparse type of ``--length`` and ``--max-length``."""
+def _non_negative(text: str) -> int:
+    """Argparse type of the non-negative integer options."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    """Argparse type of ``--runs``."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--basis", choices=("exact", "potential"), default="exact")
     check.add_argument(
         "--max-length",
-        type=_length,
+        type=_non_negative,
         default=DEFAULT_BOUND,
         help="length bound for the per-length procedures (af, agf, as-f)",
     )
@@ -302,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="explicit-state ground truth for one length")
     oracle.add_argument("--rts", required=True)
-    oracle.add_argument("--length", type=_length, required=True)
+    oracle.add_argument("--length", type=_non_negative, required=True)
     oracle.add_argument(
         "--property",
         required=True,
@@ -315,9 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="seeded random walks from one configuration")
     sim.add_argument("--rts", required=True)
     sim.add_argument("--from", dest="start", required=True, help="start word, symbols space-separated")
-    sim.add_argument("--runs", type=int, default=100)
-    sim.add_argument("--steps", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--runs", type=_positive, default=100)
+    sim.add_argument("--steps", type=_non_negative, default=1000)
+    sim.add_argument("--seed", type=_non_negative, default=0)
     sim.add_argument("--goal")
     add_json(sim)
 

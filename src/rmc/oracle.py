@@ -370,66 +370,84 @@ class SimulationStats:
     mean_steps_to_absorption: float | None
 
 
+def _fit(array: np.ndarray, size: int) -> np.ndarray:
+    """``array``, doubled until it holds ``size`` entries; new entries are -1."""
+    while len(array) < size:
+        array = np.concatenate([array, np.full_like(array, -1)])
+    return array
+
+
 def simulate(
     rts: Rts, start: Word, config: SimulationConfig, goal: Nfa | None = None
 ) -> SimulationStats:
-    """Seeded random walks choosing successors uniformly by index.
+    """Seeded random walks from ``start`` that all advance together.
 
-    Each run walks from ``start`` for up to ``max_steps`` steps or until a
-    terminating configuration absorbs it.  Successor sets are memoized per
-    call; a configuration with more than ``successor_cap`` successors is
-    an error rather than a silently biased sample.
+    At each step every live run moves to a successor chosen uniformly by
+    index, one draw per live run, or is absorbed at a terminating
+    configuration; a run that has moved ``max_steps`` times stops
+    unabsorbed.  Configurations are numbered as they are found, and their
+    successors listed once, when a run first steps from them; more than
+    ``successor_cap`` of them is an error rather than a silently biased
+    sample.  A fixed seed reproduces the statistics exactly.
     """
+    if config.runs < 1 or config.max_steps < 0:
+        raise ValueError(
+            f"need runs >= 1 and max_steps >= 0, got {config.runs} and {config.max_steps}"
+        )
     rts.alphabet.check_word(start)
     if goal is not None and goal.alphabet != rts.alphabet:
         raise ValueError("goal alphabet differs from the system alphabet")
     rng = np.random.default_rng(config.seed)
-    memo: dict[Word, tuple[Word, ...]] = {}
-    goal_memo: dict[Word, bool] = {}
-
-    def succs(c: Word) -> tuple[Word, ...]:
-        cached = memo.get(c)
-        if cached is None:
-            words, truncated = rts.successors(c, config.successor_cap)
-            if truncated:
-                raise SuccessorCapExceeded(
-                    f"configuration has more than {config.successor_cap} successors"
-                )
-            cached = memo[c] = words
-        return cached
-
-    def hits(c: Word) -> bool:
-        if goal is None:
-            return False
-        cached = goal_memo.get(c)
-        if cached is None:
-            cached = goal_memo[c] = goal.accepts(c)
-        return cached
-
-    hit_runs = 0
-    terminated_runs = 0
-    steps_when_absorbed: list[int] = []
-    for _run in range(config.runs):
-        current = start
-        hit = hits(current)
-        for step in range(config.max_steps):
-            out = succs(current)
-            if not out:
-                terminated_runs += 1
-                steps_when_absorbed.append(step)
+    words, ids = [start], {start: 0}
+    # by configuration id: where its successors start in ``flat``, how many
+    # there are, and whether it is a goal configuration; -1 until needed
+    offset, degree, flat = (np.full(16, -1, dtype=np.int64) for _ in range(3))
+    is_goal = np.full(16, -1, dtype=np.int8)
+    filled = 0
+    is_goal[0] = goal is not None and goal.accepts(start)
+    cur = np.zeros(config.runs, dtype=np.int64)
+    hit = np.full(config.runs, is_goal[0], dtype=np.int8)
+    hit_runs = absorbed = absorbed_steps = 0
+    for step in range(config.max_steps):
+        deg = degree[cur]
+        if deg.min() < 0:
+            for i in sorted(set(cur[deg < 0].tolist())):
+                out, truncated = rts.successors(words[i], config.successor_cap)
+                if truncated:
+                    raise SuccessorCapExceeded(
+                        f"configuration {' '.join(words[i]) or 'ε'} has more successors "
+                        f"than the cap of {config.successor_cap}"
+                    )
+                # a word's id is its index in ``words``
+                row = [ids.setdefault(w, len(ids)) for w in out]
+                words += [w for w, j in zip(out, row) if j >= len(words)]
+                offset, degree, is_goal = (_fit(a, len(words)) for a in (offset, degree, is_goal))
+                flat = _fit(flat, filled + len(row))
+                flat[filled : filled + len(row)] = row
+                offset[i], degree[i] = filled, len(row)
+                filled += len(row)
+            deg = degree[cur]
+        if deg.min() == 0:
+            dead = deg == 0
+            n = int(np.count_nonzero(dead))
+            absorbed += n
+            absorbed_steps += step * n
+            hit_runs += int(np.count_nonzero(hit[dead]))
+            cur, deg, hit = cur[~dead], deg[~dead], hit[~dead]
+            if not cur.size:
                 break
-            current = out[int(rng.integers(0, len(out)))]
-            if not hit and hits(current):
-                hit = True
-        if hit:
-            hit_runs += 1
+        cur = flat[offset[cur] + rng.integers(0, deg)]
+        if goal is not None and not hit.all():
+            flags = is_goal[cur]
+            if flags.min() < 0:
+                for i in sorted(set(cur[flags < 0].tolist())):
+                    is_goal[i] = goal.accepts(words[i])
+                flags = is_goal[cur]
+            hit |= flags
+    hit_runs += int(np.count_nonzero(hit))
     return SimulationStats(
         runs=config.runs,
         goal_hit_frequency=None if goal is None else hit_runs / config.runs,
-        termination_frequency=terminated_runs / config.runs,
-        mean_steps_to_absorption=(
-            sum(steps_when_absorbed) / len(steps_when_absorbed)
-            if steps_when_absorbed
-            else None
-        ),
+        termination_frequency=absorbed / config.runs,
+        mean_steps_to_absorption=absorbed_steps / absorbed if absorbed else None,
     )

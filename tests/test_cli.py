@@ -203,6 +203,8 @@ def test_oracle_bad_length(capsys):
     [
         (("check", "af", "--rts", "herman-lp", "--goal", "one-token"), "--max-length"),
         (("oracle", "--rts", "toggle", "--property", "ef", "--goal", "done"), "--length"),
+        (("simulate", "--rts", "toggle", "--from", "a"), "--steps"),
+        (("simulate", "--rts", "toggle", "--from", "a"), "--seed"),
     ],
 )
 @pytest.mark.parametrize("value", ["-1", "two"])
@@ -228,6 +230,61 @@ def test_simulate_deterministic(capsys):
     data = first
     assert data["stats"]["termination_frequency"] == 1.0
     assert data["stats"]["runs"] == 40
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "many"])
+def test_runs_are_checked_when_parsed(capsys, value):
+    code, out, err = run(capsys, "simulate", "--rts", "toggle", "--from", "a", "--runs", value)
+    assert code == 3
+    assert not out
+    assert f"error: argument --runs: must be a positive integer, got {value!r}" in err
+
+
+GROWING_BUNDLE = """\
+rts
+alphabet: a b
+initial: file:init.nfa
+delta: file:delta.t
+"""
+
+# a keeps its a and then appends any nonempty word: endless successors
+APPEND_ANY = """\
+type: transducer
+alphabet-top: a b
+alphabet-bottom: a b
+states: s t
+initial: s
+final: t
+transitions:
+s a/a t
+t #/a t
+t #/b t
+"""
+
+
+def test_simulate_over_successor_cap_is_unknown(tmp_path, capsys):
+    (tmp_path / "init.nfa").write_text(AB_WORD)
+    (tmp_path / "delta.t").write_text(APPEND_ANY)
+    bundle = tmp_path / "bundle.rts"
+    bundle.write_text(GROWING_BUNDLE)
+    argv = ("simulate", "--rts", str(bundle), "--from", "a")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not err
+    assert out.startswith("VERDICT: UNKNOWN")
+    assert "configuration a has more successors than the cap of 4096" in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    data = json.loads(out)
+    assert data["outcome"] == "UNKNOWN"
+    assert set(data) == {
+        "command",
+        "outcome",
+        "witness",
+        "bound_used",
+        "checks",
+        "elapsed_ms",
+    }
 
 
 def test_simulate_goal_frequency(capsys):

@@ -1,10 +1,16 @@
 """Explicit-state oracle: slices, property answers, closures, walks."""
 
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from rmc import (
+    Alphabet,
     CapExceeded,
     NotLengthPreserving,
     Rts,
@@ -225,3 +231,82 @@ def test_simulation_deterministic_and_exact():
 def test_simulation_goal_none():
     stats = simulate(spin_rts(), ("a",), SimulationConfig(runs=3, max_steps=4))
     assert stats.goal_hit_frequency is None
+
+
+def one_rts(alphabet, triples):
+    """The system whose one-letter word ``a`` steps by ``triples``."""
+    return Rts(words_nfa(alphabet, {("a",)}), mk_t(alphabet, alphabet, triples, ["s"], ["t"]))
+
+
+def test_simulation_draws_successors_uniformly():
+    # a steps to one of three dead ends, b among them
+    abcd = Alphabet(["a", "b", "c", "d"])
+    rts = one_rts(abcd, [("s", "a/b", "t"), ("s", "a/c", "t"), ("s", "a/d", "t")])
+    runs = 30_000
+    stats = simulate(
+        rts, ("a",), SimulationConfig(runs=runs, max_steps=5, seed=11),
+        goal=words_nfa(abcd, {("b",)}),
+    )
+    standard_error = math.sqrt(1 / 3 * 2 / 3 / runs)
+    assert abs(stats.goal_hit_frequency - 1 / 3) < 4 * standard_error
+    assert stats.termination_frequency == 1.0
+    assert stats.mean_steps_to_absorption == 1.0
+
+
+def test_simulation_absorption_time_is_geometric():
+    # a stays or falls into the dead end b with equal odds: the number of
+    # moves until b is geometric with mean 2 and variance 2
+    rts = one_rts(AB, [("s", "a/a", "t"), ("s", "a/b", "t")])
+    runs = 20_000
+    stats = simulate(rts, ("a",), SimulationConfig(runs=runs, max_steps=200, seed=12))
+    assert stats.termination_frequency == 1.0
+    assert abs(stats.mean_steps_to_absorption - 2) < 4 * math.sqrt(2 / runs)
+
+
+def test_simulation_absorbs_only_within_the_step_bound():
+    # the one-shot a -> b reaches the dead end b after one move, but a run
+    # is absorbed only when it is at b with a step still to take
+    rts = one_rts(AB, [("s", "a/b", "t")])
+    short = simulate(rts, ("a",), SimulationConfig(runs=5, max_steps=1))
+    assert short.termination_frequency == 0.0
+    assert short.mean_steps_to_absorption is None
+    enough = simulate(rts, ("a",), SimulationConfig(runs=5, max_steps=2))
+    assert enough.termination_frequency == 1.0
+    assert enough.mean_steps_to_absorption == 1.0
+
+
+@pytest.mark.parametrize("runs, max_steps", [(0, 5), (-1, 5), (3, -1)])
+def test_simulation_rejects_empty_or_negative_bounds(runs, max_steps):
+    with pytest.raises(ValueError, match="runs >= 1 and max_steps >= 0"):
+        simulate(spin_rts(), ("a",), SimulationConfig(runs=runs, max_steps=max_steps))
+
+
+# short walks, so that about one run in six misses the goal and the
+# frequency shows which successors were drawn
+_GROWING_WALKS = """
+from pathlib import Path
+import rmc
+data = Path(rmc.__file__).parent / "data" / "herman-grow"
+stats = rmc.simulate(
+    rmc.load_rts_bundle(data / "bundle.rts"),
+    tuple("⟨••◦⟩"),
+    rmc.SimulationConfig(runs=200, max_steps=5, seed=7),
+    goal=rmc.load_automaton(data / "one-token.nfa"),
+)
+print(stats)
+"""
+
+
+def test_simulation_does_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _GROWING_WALKS],
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for hash_seed in ("0", "1")
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
