@@ -6,6 +6,16 @@ finite word can stand for an infinite set of configurations.  Inductive
 constraints are closed under the step relation and therefore certify
 non-reachability.  The potential-reachability relation is consumed as
 input and validated, never synthesized here.
+
+This is the one module that reads ``preach``.  Each abstract check runs
+the decision procedures of :mod:`rmc.procedures` unchanged on the system
+with ``preach`` in the place of ``reach``, whose runs are the potential
+runs: a step of the system, or a hop of ``preach``.  Since ``preach``
+contains every concrete run, what no potential run does no concrete run
+does either.  So a Holds of :func:`abstract_safety`,
+:func:`abstract_sure_termination` and :func:`abstract_as_liveness`, and a
+Fails of :func:`abstract_liveness`, carry over to the concrete system;
+the other answers speak of potential runs only.
 """
 
 from __future__ import annotations
@@ -83,10 +93,17 @@ def certify_unreachable(
     return inductive and separates(interp, constraint, config, other)
 
 
+def _potential(rts: Rts) -> Rts:
+    """The system with ``preach`` as its reachability relation, or raise."""
+    if rts.preach is None:
+        raise MissingRelation("this check needs the preach relation")
+    return Rts(rts.initial, rts.delta, reach=rts.preach)
+
+
 def validate_preach(rts: Rts) -> ValidationReport:
     """Check the supplied potential-reachability relation is reflexive,
     transitive, and contains the step relation."""
-    potential = rts.relation("potential")
+    potential = _potential(rts).relation()
     return ValidationReport(inclusion_checks(potential, (
         ("identity-within-preach", identity(rts.alphabet)),
         ("delta-within-preach", rts.delta),
@@ -99,18 +116,19 @@ def abstract_safety(rts: Rts, unsafe: Nfa) -> Verdict:
     Holds soundly implies the concrete system never reaches ``unsafe``."""
     if unsafe.alphabet != rts.alphabet:
         raise AlphabetMismatch("unsafe language alphabet differs from the system")
-    found = rts.reachable_set("potential").intersect(unsafe).shortest_word()
+    potential = _potential(rts)
+    found = potential.reachable_set().intersect(unsafe).shortest_word()
     if found is None:
         return holds(note="no unsafe configuration is potentially reachable")
     return fails(
-        witness=_locate(rts, found, "potential"),
+        witness=_locate(potential, found),
         note="an unsafe configuration is potentially reachable",
     )
 
 
 def exists_infinite_potential_run(rts: Rts) -> Verdict:
     """Can the system run forever when steps may be potential hops?"""
-    return check_egf(rts, universal_automaton(rts.alphabet), basis="potential")
+    return check_egf(_potential(rts), universal_automaton(rts.alphabet))
 
 
 def abstract_sure_termination(rts: Rts) -> Verdict:
@@ -128,7 +146,7 @@ def abstract_sure_termination(rts: Rts) -> Verdict:
 
 def abstract_liveness(rts: Rts, goal: Nfa) -> Verdict:
     """Does some potential run visit the goal infinitely often?"""
-    return check_egf(rts, goal, basis="potential")
+    return check_egf(_potential(rts), goal)
 
 
 def abstract_as_liveness(rts: Rts, goal: PropertyGoal) -> Verdict:
@@ -144,12 +162,12 @@ def abstract_as_liveness(rts: Rts, goal: PropertyGoal) -> Verdict:
         raise MissingRelation(
             "abstract almost-sure liveness needs the goal's pre-image set"
         )
-    can_step = rts.delta.project(1)
-    target = can_step.intersect(goal.pre_of_goal)
-    ok, escape = target.includes(rts.reachable_set("potential"))
+    potential = _potential(rts)
+    target = rts.delta.project(1).intersect(goal.pre_of_goal)
+    ok, escape = target.includes(potential.reachable_set())
     if not ok:
         return fails(
-            witness=_locate(rts, escape, "potential"),
+            witness=_locate(potential, escape),
             note="abstraction inconclusive: a potentially reachable configuration "
             "either has no successor or lies outside the supplied goal "
             "pre-image; the concrete property itself may still hold either way",

@@ -108,9 +108,7 @@ def _emit(rep: Report, as_json: bool, started: float) -> None:
 def _cmd_check(args, started: float) -> int:
     loaded = _Loaded(args.rts)
     goal = loaded.language(args.goal) if args.goal else None
-    verdict = run_check(
-        loaded.rts, args.property, goal=goal, basis=args.basis, bound=args.max_length
-    )
+    verdict = run_check(loaded.rts, args.property, goal=goal, bound=args.max_length)
     command = f"check {args.property}"
     _emit(report_mod.from_verdict(command, verdict), args.json, started)
     return verdict.outcome.exit_code
@@ -293,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("property", choices=tuple(PROPERTIES))
     check.add_argument("--rts", required=True, help="bundle file or shipped bundle name")
     check.add_argument("--goal", help="goal language (file or name next to the bundle)")
-    check.add_argument("--basis", choices=("exact", "potential"), default="exact")
     check.add_argument(
         "--max-length",
         type=_non_negative,

@@ -228,7 +228,8 @@ def serialize_automaton(automaton: Nfa) -> str:
 
     States whose repr does not fit the token syntax (tuples from product
     constructions, frozensets from determinization) are renamed q0, q1,
-    ... in state order.
+    ... in state order.  Initial and final states are listed in state
+    order too, so the text does not depend on set iteration order.
     """
     names = _name_states(automaton)
     out = []
@@ -240,8 +241,8 @@ def serialize_automaton(automaton: Nfa) -> str:
         out.append("type: nfa")
         out.append("alphabet: " + " ".join(automaton.alphabet.symbols))
     out.append("states: " + " ".join(names[s] for s in automaton.states))
-    out.append("initial: " + " ".join(names[s] for s in automaton.initial))
-    out.append("final: " + " ".join(names[s] for s in automaton.final))
+    for key, marked in (("initial", automaton.initial), ("final", automaton.final)):
+        out.append(f"{key}: " + " ".join(names[s] for s in automaton.states if s in marked))
     out.append("transitions:")
     lines = []
     for (src, sym), dsts in automaton.transitions.items():

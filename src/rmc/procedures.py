@@ -1,6 +1,6 @@
 """Decision procedures over transducer-described transition systems.
 
-The symbolic checks work on the system's reachability relation and never
+The symbolic checks work on the system's ``reach`` relation and never
 enumerate configurations; the bounded checks slice the system per word
 length up to a bound and answer Unknown when the bound cannot be shown
 exhaustive.  All of them return a Verdict whose witness, when present,
@@ -38,7 +38,7 @@ def _check_goal(rts: Rts, goal: Nfa) -> None:
         raise AlphabetMismatch("goal alphabet differs from the system alphabet")
 
 
-def _locate(rts: Rts, target: Word, basis: str) -> Witness:
+def _locate(rts: Rts, target: Word) -> Witness:
     """A witness that ``target`` is reachable: a stepwise path when a
     slice of its length is affordable, else a source/target pair under
     the reachability relation."""
@@ -57,11 +57,8 @@ def _locate(rts: Rts, target: Word, basis: str) -> Witness:
         _order, parents = graph.bfs(slice_.edges, slice_.initial)
         nodes = graph.path_to(parents, index)
         return Witness("path", tuple(slice_.configurations[i] for i in nodes))
-    relation = rts.relation(basis)
-    sources = relation.pre_image(word_automaton(rts.alphabet, target)).intersect(
-        rts.initial
-    )
-    source = sources.shortest_word()
+    here = word_automaton(rts.alphabet, target)
+    source = rts.relation().pre_image(here).intersect(rts.initial).shortest_word()
     if source is None:
         # the relation claims reachability yet names no initial source;
         # fall back to the target alone
@@ -69,10 +66,10 @@ def _locate(rts: Rts, target: Word, basis: str) -> Witness:
     return Witness("pair", (source, target))
 
 
-def _reachable_outside(rts: Rts, basis: str, languages: list[Nfa]) -> Word | None:
+def _reachable_outside(rts: Rts, languages: list[Nfa]) -> Word | None:
     """The least reachable configuration missing from one of ``languages``."""
     return constrained_search(
-        rts.reachable_set(basis),
+        rts.reachable_set(),
         languages,
         lambda pos_final, hits: pos_final and not all(hits),
     )
@@ -81,26 +78,22 @@ def _reachable_outside(rts: Rts, basis: str, languages: list[Nfa]) -> Word | Non
 # -- reachability ---------------------------------------------------------------
 
 
-def check_ef(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
+def check_ef(rts: Rts, goal: Nfa) -> Verdict:
     """Is some goal configuration reachable from the initial set?"""
     _check_goal(rts, goal)
-    found = rts.reachable_set(basis).intersect(goal).shortest_word()
+    found = rts.reachable_set().intersect(goal).shortest_word()
     if found is None:
         return fails(note="no goal configuration in the reachable set")
-    if basis == "potential":
-        return unknown(
-            note="the potential-reachability relation cannot confirm reachability"
-        )
-    return holds(witness=_locate(rts, found, basis))
+    return holds(witness=_locate(rts, found))
 
 
-def check_deadlock_freedom(rts: Rts, basis: str = "exact") -> Verdict:
+def check_deadlock_freedom(rts: Rts) -> Verdict:
     """Does every reachable configuration have at least one successor?"""
-    found = _reachable_outside(rts, basis, [rts.delta.project(1)])
+    found = _reachable_outside(rts, [rts.delta.project(1)])
     if found is None:
         return holds(note="every reachable configuration has a successor")
     return fails(
-        witness=_locate(rts, found, basis),
+        witness=_locate(rts, found),
         note="a reachable configuration has no successor",
     )
 
@@ -108,22 +101,21 @@ def check_deadlock_freedom(rts: Rts, basis: str = "exact") -> Verdict:
 # -- repeated reachability -------------------------------------------------------
 
 
-def check_egf_loop(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
+def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
     """Cycle route: find a reachable goal configuration on a cycle.
 
-    A configuration c lies on a cycle iff (c, c) is in delta∘relation,
-    one step out and the relation back, provided the relation contains
-    the identity and delta (:meth:`Rts.validate` and
-    :func:`~rmc.abstraction.validate_preach` check both).  The lasso
-    starts at the least such c and goes through its least successor
-    that the relation leads back from.  Complete on its own for
+    A configuration c lies on a cycle iff (c, c) is in delta∘reach, one
+    step out and reach back, provided reach contains the identity and
+    delta (:meth:`Rts.validate` checks both).  The lasso starts at the
+    least such c and goes through its least successor that reach leads
+    back from.  Complete on its own for
     length-preserving systems, where any infinite run stays inside one
     finite length class.
     """
     _check_goal(rts, goal)
-    relation = rts.relation(basis)
+    relation = rts.relation()
     on_cycle = diagonal(rts.delta.compose(relation))
-    reachable_goal = rts.reachable_set(basis).intersect(goal)
+    reachable_goal = rts.reachable_set().intersect(goal)
     config = reachable_goal.intersect(on_cycle).shortest_word()
     if config is None:
         return fails(note="no reachable goal configuration lies on a cycle")
@@ -151,7 +143,7 @@ def _pair_index(t: Transducer):
     return real, pad_bottom
 
 
-def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
+def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
     """Growth route: find an endless chain of ever-longer configurations,
     each reachable from the one before it and landing in the goal.
 
@@ -167,11 +159,10 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
         return fails(
             note="the growth route does not apply to length-preserving systems"
         )
-    relation = rts.relation(basis)
-    chain = relation.compose(identity_on(goal))
+    chain = rts.relation().compose(identity_on(goal))
     if chain.is_empty():
         return fails(note="no reachability pair lands in the goal")
-    reach_lang = rts.reachable_set(basis)
+    reach_lang = rts.reachable_set()
     if not reach_lang.states:
         return fails(note="the reachable set is empty")
 
@@ -288,13 +279,13 @@ def check_egf_clique(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     )
 
 
-def check_egf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
+def check_egf(rts: Rts, goal: Nfa) -> Verdict:
     """Can some run visit the goal infinitely often?  Tries the cycle
     route first and the growth route second."""
-    by_loop = check_egf_loop(rts, goal, basis)
+    by_loop = check_egf_loop(rts, goal)
     if by_loop.holds:
         return by_loop
-    by_clique = check_egf_clique(rts, goal, basis)
+    by_clique = check_egf_clique(rts, goal)
     if by_clique.holds:
         return by_clique
     if rts.length_preserving:
@@ -313,7 +304,7 @@ _DRIFT_NOTE = (
 )
 
 
-def check_as_gf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
+def check_as_gf(rts: Rts, goal: Nfa) -> Verdict:
     """Does a random run visit the goal infinitely often with probability
     one?  Fails exactly when some reachable configuration either has no
     successor or cannot reach the goal at all.  Otherwise holds on a
@@ -321,11 +312,11 @@ def check_as_gf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
     goal configuration with a successor; else Unknown."""
     _check_goal(rts, goal)
     domain = rts.delta.project(1)
-    can_reach_goal = rts.relation(basis).pre_image(goal)
-    found = _reachable_outside(rts, basis, [domain, can_reach_goal])
+    can_reach_goal = rts.relation().pre_image(goal)
+    found = _reachable_outside(rts, [domain, can_reach_goal])
     if found is None:
         note = "every reachable configuration can step and can reach the goal"
-        if rts.length_preserving or _reachable_outside(rts, basis, [domain, goal]) is None:
+        if rts.length_preserving or _reachable_outside(rts, [domain, goal]) is None:
             return holds(note=note)
         return unknown(note=f"{note}, but {_DRIFT_NOTE}")
     reason = (
@@ -333,23 +324,23 @@ def check_as_gf(rts: Rts, goal: Nfa, basis: str = "exact") -> Verdict:
         if not domain.accepts(found)
         else "a reachable configuration cannot reach the goal"
     )
-    return fails(witness=_locate(rts, found, basis), note=reason)
+    return fails(witness=_locate(rts, found), note=reason)
 
 
-def check_as_termination(rts: Rts, basis: str = "exact") -> Verdict:
+def check_as_termination(rts: Rts) -> Verdict:
     """Does a random run reach a successor-free configuration with
     probability one?  Fails exactly when some reachable configuration
     cannot reach any successor-free one; otherwise holds on a
     length-preserving system and is Unknown on any other."""
-    can_halt = rts.relation(basis).pre_image(rts.terminating())
-    found = _reachable_outside(rts, basis, [can_halt])
+    can_halt = rts.relation().pre_image(rts.terminating())
+    found = _reachable_outside(rts, [can_halt])
     if found is None:
         note = "every reachable configuration can reach a successor-free one"
         if not rts.length_preserving:
             return unknown(note=f"{note}, but {_DRIFT_NOTE}")
         return holds(note=note)
     return fails(
-        witness=_locate(rts, found, basis),
+        witness=_locate(rts, found),
         note="a reachable configuration cannot reach any successor-free one",
     )
 
@@ -424,43 +415,27 @@ class Property:
 
     ``oracle`` names the :func:`~rmc.oracle.oracle_check` decider that
     answers the same question on one slice, or is None for a single route
-    of a check.  ``run(rts, goal, basis, bound)`` runs the check.
+    of a check.  ``run(rts, goal, bound)`` runs the check.
     """
 
     needs_goal: bool
     oracle: str | None
-    run: Callable[[Rts, Nfa | None, str, int], Verdict]
+    run: Callable[[Rts, Nfa | None, int], Verdict]
 
 
 # The entries call the checks through their module-level names, so a
 # check replaced on this module (say, by a profiler) is the one that runs.
 PROPERTIES: dict[str, Property] = {
-    "ef": Property(True, "EF", lambda rts, goal, basis, bound: check_ef(rts, goal, basis)),
-    "egf": Property(True, "EGF", lambda rts, goal, basis, bound: check_egf(rts, goal, basis)),
-    "egf-loop": Property(
-        True, None, lambda rts, goal, basis, bound: check_egf_loop(rts, goal, basis)
-    ),
-    "egf-clique": Property(
-        True, None, lambda rts, goal, basis, bound: check_egf_clique(rts, goal, basis)
-    ),
-    "af": Property(
-        True, "AF", lambda rts, goal, basis, bound: check_af_bounded(rts, goal, bound)
-    ),
-    "agf": Property(
-        True, "AGF", lambda rts, goal, basis, bound: check_agf_bounded(rts, goal, bound)
-    ),
-    "as-f": Property(
-        True, "ASF", lambda rts, goal, basis, bound: check_as_f_bounded(rts, goal, bound)
-    ),
-    "as-gf": Property(
-        True, "ASGF", lambda rts, goal, basis, bound: check_as_gf(rts, goal, basis)
-    ),
-    "as-term": Property(
-        False, "AST", lambda rts, goal, basis, bound: check_as_termination(rts, basis)
-    ),
-    "deadlock-free": Property(
-        False, "DF", lambda rts, goal, basis, bound: check_deadlock_freedom(rts, basis)
-    ),
+    "ef": Property(True, "EF", lambda rts, goal, bound: check_ef(rts, goal)),
+    "egf": Property(True, "EGF", lambda rts, goal, bound: check_egf(rts, goal)),
+    "egf-loop": Property(True, None, lambda rts, goal, bound: check_egf_loop(rts, goal)),
+    "egf-clique": Property(True, None, lambda rts, goal, bound: check_egf_clique(rts, goal)),
+    "af": Property(True, "AF", lambda rts, goal, bound: check_af_bounded(rts, goal, bound)),
+    "agf": Property(True, "AGF", lambda rts, goal, bound: check_agf_bounded(rts, goal, bound)),
+    "as-f": Property(True, "ASF", lambda rts, goal, bound: check_as_f_bounded(rts, goal, bound)),
+    "as-gf": Property(True, "ASGF", lambda rts, goal, bound: check_as_gf(rts, goal)),
+    "as-term": Property(False, "AST", lambda rts, goal, bound: check_as_termination(rts)),
+    "deadlock-free": Property(False, "DF", lambda rts, goal, bound: check_deadlock_freedom(rts)),
 }
 
 
@@ -468,7 +443,6 @@ def run_check(
     rts: Rts,
     property_name: str,
     goal: Nfa | None = None,
-    basis: str = "exact",
     bound: int = DEFAULT_BOUND,
 ) -> Verdict:
     """Dispatch a property check by name; the command line goes through
@@ -483,6 +457,6 @@ def run_check(
     if prop.needs_goal and goal is None:
         raise ValueError(f"property {name!r} needs a goal language")
     try:
-        return prop.run(rts, goal, basis, bound)
+        return prop.run(rts, goal, bound)
     except CapExceeded as err:
         return unknown(note=f"{name} stopped at a cap: {err}")

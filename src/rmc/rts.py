@@ -7,6 +7,11 @@ Both relations are consumed as inputs, never computed: the toolkit checks
 necessary conditions on them (see :meth:`Rts.validate`) but cannot verify
 that a claimed ``reach`` holds no pair beyond the reflexive-transitive
 closure of the step relation.
+
+:meth:`Rts.relation` and :meth:`Rts.reachable_set` read ``reach`` only, so
+the decision procedures answer for the concrete system.  ``preach`` is
+read by :mod:`rmc.abstraction` alone, which runs the same procedures on a
+copy of the system whose ``reach`` is the supplied ``preach``.
 """
 
 from __future__ import annotations
@@ -107,23 +112,17 @@ class Rts:
     def alphabet(self) -> Alphabet:
         return self.delta.top
 
-    def relation(self, basis: str) -> Transducer:
-        """The reach ("exact") or preach ("potential") relation, or raise."""
-        if basis == "exact":
-            if self.reach is None:
-                raise MissingRelation("this check needs the reach relation")
-            return self.reach
-        if basis == "potential":
-            if self.preach is None:
-                raise MissingRelation("this check needs the preach relation")
-            return self.preach
-        raise ValueError(f"basis must be 'exact' or 'potential', got {basis!r}")
+    def relation(self) -> Transducer:
+        """The reach relation, or raise."""
+        if self.reach is None:
+            raise MissingRelation("this check needs the reach relation")
+        return self.reach
 
-    def reachable_set(self, basis: str = "exact") -> Nfa:
-        """Image of the initial language under the chosen relation (cached)."""
-        key = ("reachable", basis)
+    def reachable_set(self) -> Nfa:
+        """Image of the initial language under reach (cached)."""
+        key = "reachable"
         if key not in self._cache:
-            self._cache[key] = self.relation(basis).post_image(self.initial)
+            self._cache[key] = self.relation().post_image(self.initial)
         return self._cache[key]
 
     def terminating(self) -> Nfa:

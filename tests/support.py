@@ -10,9 +10,11 @@ from rmc import (
     Nfa,
     Rts,
     Transducer,
+    identity,
     pair,
     relation_to_transducer,
     slice_closure,
+    universal_automaton,
 )
 from rmc.oracle import build_slice
 
@@ -187,3 +189,40 @@ def random_lp_rts(rng: random.Random, with_reach: bool = True, max_length: int =
     if not with_reach:
         return Rts(initial, delta), goal
     return Rts(initial, delta, reach=reach, preach=reach), goal
+
+
+def bounded_lp_universal(alphabet: Alphabet, bound: int) -> Transducer:
+    """Every letter/letter pair of length at most ``bound``."""
+    states = list(range(bound + 1))
+    transitions = {}
+    for i in range(bound):
+        for a in alphabet.symbols:
+            for b in alphabet.symbols:
+                transitions[(i, pair(a, b))] = [i + 1]
+    return Transducer(alphabet, alphabet, states, transitions, [0], states)
+
+
+def closure_pairs(delta: Transducer, max_length: int = 4) -> set:
+    """The reflexive-transitive closure of ``delta`` over every
+    configuration of length 1 to ``max_length``."""
+    everyone = Rts(universal_automaton(delta.top), delta)
+    pairs = set()
+    for n in range(1, max_length + 1):
+        pairs |= slice_closure(build_slice(everyone, n))
+    return pairs
+
+
+def bounded_lp_system(rng: random.Random, bound: int = 4):
+    """A random length-preserving step relation that stops at length
+    ``bound``, with its closure pairs, as (delta, pairs).  The closure
+    lifted and joined with the identity is then its exact reach."""
+    alphabet = random_alphabet(rng)
+    delta = random_lp_transducer(rng, alphabet).intersect(
+        bounded_lp_universal(alphabet, bound)
+    )
+    return delta, closure_pairs(delta, bound)
+
+
+def lifted(alphabet: Alphabet, pairs) -> Transducer:
+    """Explicit closure pairs as a reflexive relation."""
+    return relation_to_transducer(alphabet, pairs).union(identity(alphabet))

@@ -1,13 +1,17 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from rmc import (
+    PROPERTIES,
     AlphabetMismatch,
     Alphabet,
     DeterminismViolation,
     Interpretation,
     MissingRelation,
+    Outcome,
     PropertyGoal,
     Rts,
     abstract_as_liveness,
@@ -20,6 +24,8 @@ from rmc import (
     identity,
     is_inductive,
     length_automaton,
+    relation_to_transducer,
+    run_check,
     separates,
     slice_closure,
     universal,
@@ -27,7 +33,19 @@ from rmc import (
     validate_preach,
 )
 from rmc.oracle import build_slice, oracle_check
-from support import AB, ABC, DRIFT, mk_t, random_lp_rts, words_nfa
+from support import (
+    AB,
+    ABC,
+    DRIFT,
+    bounded_lp_system,
+    closure_pairs,
+    lifted,
+    mk_t,
+    random_lp_rts,
+    random_nfa,
+    random_word_nfa,
+    words_nfa,
+)
 
 C = Alphabet(["c"])
 
@@ -226,7 +244,7 @@ def test_abstract_as_liveness_matches_oracle():
     confirmed = 0
     for _ in range(30):
         rts, goal = random_lp_rts(rng, max_length=3)
-        pre = rts.relation("exact").pre_image(goal)
+        pre = rts.relation().pre_image(goal)
         verdict = abstract_as_liveness(rts, PropertyGoal(goal, pre_of_goal=pre))
         if not verdict.holds:
             continue
@@ -235,3 +253,78 @@ def test_abstract_as_liveness_matches_oracle():
             assert oracle_check(sliced, "ASGF", goal)[0]
             confirmed += 1
     assert confirmed > 0
+
+
+def _extra_step(rng, initial, pairs):
+    """A step, absent from the closure ``pairs``, out of a reachable
+    configuration, or None when the closure already holds every pair."""
+    symbols = initial.alphabet.symbols
+    reachable = sorted({y for x, y in pairs if initial.accepts(x)})
+    missing = [
+        (x, y)
+        for x in reachable
+        for y in product(symbols, repeat=len(x))
+        if (x, y) not in pairs
+    ]
+    if not missing:
+        return None
+    return relation_to_transducer(initial.alphabet, {rng.choice(missing)})
+
+
+def test_coarser_preach_leaves_checks_alone_and_abstracts_soundly():
+    """With preach the closure of delta plus one extra step, every check
+    answers as it does with preach = reach, and each abstract answer that
+    speaks of the concrete system agrees with explicit search."""
+    rng = random.Random(10)
+    seen = Counter()
+    for _ in range(50):
+        delta, pairs = bounded_lp_system(rng)
+        alphabet = delta.top
+        initial = random_word_nfa(rng, alphabet, 4)
+        goal = random_nfa(rng, alphabet, max_states=4)
+        extra = _extra_step(rng, initial, pairs)
+        if extra is None:
+            continue
+        reach = lifted(alphabet, pairs)
+        exact = Rts(initial, delta, reach=reach, preach=reach)
+        preach = lifted(alphabet, closure_pairs(delta.union(extra)))
+        rts = Rts(initial, delta, reach=reach, preach=preach)
+        assert rts.validate().ok and validate_preach(rts).ok
+        assert not reach.includes(preach)[0]
+
+        for name, prop in PROPERTIES.items():
+            wanted = goal if prop.needs_goal else None
+            assert run_check(rts, name, wanted) == run_check(exact, name, wanted)
+
+        slices = [build_slice(rts, n) for n in range(1, 5)]
+
+        def oracle(prop, language):
+            return [oracle_check(sliced, prop, language)[0] for sliced in slices]
+
+        as_goal = PropertyGoal(goal, pre_of_goal=reach.pre_image(goal))
+        modes = {
+            "safety": lambda system: abstract_safety(system, goal),
+            "liveness": lambda system: abstract_liveness(system, goal),
+            "sure-term": abstract_sure_termination,
+            "as-liveness": lambda system: abstract_as_liveness(system, as_goal),
+        }
+        verdicts = {mode: run(rts) for mode, run in modes.items()}
+        if verdicts["safety"].holds:
+            assert not any(oracle("EF", goal))
+        if verdicts["liveness"].fails:
+            assert not any(oracle("EGF", goal))
+        if verdicts["sure-term"].holds:
+            assert not any(oracle("EGF", universal_automaton(alphabet)))
+        if verdicts["as-liveness"].holds:
+            assert all(oracle("ASGF", goal))
+        for mode, verdict in verdicts.items():
+            seen[mode, verdict.outcome] += 1
+            if verdict.outcome != modes[mode](exact).outcome:
+                seen[mode, "changed"] += 1
+    for mode, sound in (
+        ("safety", Outcome.HOLDS),
+        ("liveness", Outcome.FAILS),
+        ("sure-term", Outcome.HOLDS),
+        ("as-liveness", Outcome.HOLDS),
+    ):
+        assert seen[mode, sound] and seen[mode, "changed"], (mode, seen)

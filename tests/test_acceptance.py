@@ -13,7 +13,6 @@ from pathlib import Path
 from rmc import (
     Interpretation,
     Rts,
-    Transducer,
     certify_unreachable,
     check_af_bounded,
     check_as_f_bounded,
@@ -29,7 +28,6 @@ from rmc import (
     length_automaton,
     load_automaton,
     load_rts_bundle,
-    pair,
     relation_to_transducer,
     slice_closure,
     universal_automaton,
@@ -39,6 +37,7 @@ from rmc.oracle import SimulationConfig, build_slice, oracle_check, simulate
 from support import (
     A,
     Alphabet,
+    bounded_lp_universal,
     mk_t,
     random_alphabet,
     random_lp_rts,
@@ -316,16 +315,6 @@ def test_criterion_5_closure_laws():
     conclude(5, "closure laws", problems)
 
 
-def _bounded_lp_universal(alphabet, bound):
-    states = list(range(bound + 1))
-    transitions = {}
-    for i in range(bound):
-        for a in alphabet.symbols:
-            for b in alphabet.symbols:
-                transitions[(i, pair(a, b))] = [i + 1]
-    return Transducer(alphabet, alphabet, states, transitions, [0], states)
-
-
 def _cube_interpretation(alphabet):
     """x stands for the first symbol, y for any of the others."""
     xy = Alphabet(["x", "y"])
@@ -348,7 +337,7 @@ def test_criterion_6_abstraction_framework():
         for n in range(1, 5):
             pairs |= slice_closure(build_slice(everyone, n))
         preach = relation_to_transducer(alphabet, pairs).union(identity(alphabet))
-        bounded = delta.intersect(_bounded_lp_universal(alphabet, 4))
+        bounded = delta.intersect(bounded_lp_universal(alphabet, 4))
         rts = Rts(
             random_word_nfa(rng, alphabet, 4), bounded, reach=preach, preach=preach
         )

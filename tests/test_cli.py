@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from rmc import parse_automaton
+from rmc import PROPERTIES, parse_automaton
 from rmc.cli import bundled_examples, main
 
 AB_WORD = """\
@@ -406,3 +406,54 @@ def test_bad_arguments_exit_three(capsys):
     assert main([]) == 3
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def _letter(symbol):
+    return (
+        f"type: nfa\nalphabet: a b\nstates: q0 q1\ninitial: q0\nfinal: q1\n"
+        f"transitions:\nq0 {symbol} q1\n"
+    )
+
+
+_SAME = "type: transducer\nalphabet-top: a b\nalphabet-bottom: a b\nstates: s\ninitial: s\nfinal: s\n"
+_IDENTITY = _SAME + "transitions:\ns a/a s\ns b/b s\n"
+# turn some a's into b's: reflexive, transitive, and no step of the system
+_A_TO_B = _SAME + "transitions:\ns a/a s\ns b/b s\ns a/b s\n"
+_ONLY_A = (
+    "type: transducer\nalphabet-top: a b\nalphabet-bottom: a b\nstates: s t\n"
+    "initial: s\nfinal: t\ntransitions:\ns a/a t\n"
+)
+
+
+@pytest.mark.parametrize("delta", [_IDENTITY, _ONLY_A], ids=["identity", "a-to-a"])
+def test_check_ignores_a_coarser_preach(tmp_path, capsys, delta):
+    """preach lets a become b, which no run does; every check answers
+    as the length-1 oracle does."""
+    files = {
+        "init.nfa": _letter("a"), "a.nfa": _letter("a"), "b.nfa": _letter("b"),
+        "delta.t": delta, "reach.t": _IDENTITY, "preach.t": _A_TO_B,
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    bundle = tmp_path / "bundle.rts"
+    bundle.write_text(
+        "rts\nalphabet: a b\ninitial: file:init.nfa\ndelta: file:delta.t\n"
+        "reach: file:reach.t\npreach: file:preach.t\n"
+    )
+    assert run(capsys, "abstract", "validate", "--rts", str(bundle))[0] == 0
+    compared = 0
+    for name, prop in PROPERTIES.items():
+        if prop.oracle is None:
+            continue
+        for goal in ("a.nfa", "b.nfa") if prop.needs_goal else (None,):
+            extra = ("--goal", goal) if goal else ()
+            checked = run(capsys, "check", name, "--rts", str(bundle), *extra)[0]
+            oracle = run(
+                capsys, "oracle", "--property", name, "--length", "1",
+                "--rts", str(bundle), *extra,
+            )[0]
+            assert checked == oracle, (name, goal)
+            compared += 1
+    assert compared == 14
+    assert run(capsys, "check", "ef", "--rts", str(bundle), "--goal", "b.nfa",
+               "--basis", "potential")[0] == 3

@@ -21,9 +21,12 @@ from support import (
     A,
     AB,
     ABC,
+    bounded_lp_system,
+    lifted,
     mk_t,
     random_lp_transducer,
     random_padded_transducer,
+    random_word_nfa,
     words_nfa,
 )
 
@@ -61,11 +64,9 @@ def test_alphabet_guards():
 def test_relation_selection():
     rts = shift_rts()
     with pytest.raises(MissingRelation):
-        rts.relation("exact")
-    with pytest.raises(ValueError):
-        rts.relation("sideways")
+        rts.relation()
     with_reach = Rts(rts.initial, rts.delta, reach=identity(AB))
-    assert with_reach.relation("exact") is with_reach.reach
+    assert with_reach.relation() is with_reach.reach
 
 
 def test_successors_ordering_and_cap():
@@ -178,6 +179,29 @@ def test_validate_flags_reach_not_closed_under_delta():
     report = rts.validate()
     assert [c.name for c in report.failed] == ["reach-closed-under-delta"]
     assert report.failed[0].counterexample == (("a",), ("c",))
+
+
+def test_validate_rejects_reach_missing_one_pair():
+    """Exact reach relations validate, and each loses that on losing any
+    one pair (x, y) with x != y.  Take a shortest path from x to y: if it
+    is one step, delta-within-reach fails; otherwise reach still holds x
+    with the configuration before y, so reach-closed-under-delta fails."""
+    rng = random.Random(41)
+    removals = 0
+    for _ in range(12):
+        delta, pairs = bounded_lp_system(rng)
+        initial = random_word_nfa(rng, delta.top, 4)
+        assert Rts(initial, delta, reach=lifted(delta.top, pairs)).validate().ok
+        steps = sorted((x, y) for x, y in pairs if x != y)
+        for x, y in rng.sample(steps, min(6, len(steps))):
+            reach = lifted(delta.top, pairs - {(x, y)})
+            failed = {c.name for c in Rts(initial, delta, reach=reach).validate().failed}
+            if delta.accepts_pair(x, y):
+                assert "delta-within-reach" in failed
+            else:
+                assert "reach-closed-under-delta" in failed
+            removals += 1
+    assert removals >= 30
 
 
 def test_validate_lets_internal_errors_through(monkeypatch):
