@@ -57,26 +57,46 @@ class Nfa:
         final: Iterable[State],
     ):
         states = tuple(states)
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state identifiers")
         pos = {q: i for i, q in enumerate(states)}
+        if len(pos) != len(states):
+            raise ValueError("duplicate state identifiers")
         initial = frozenset(initial)
         final = frozenset(final)
         for q in initial | final:
             if q not in pos:
                 raise ValueError(f"initial/final state {q!r} not among states")
-        norm: dict = {}
         for (q, sym), dsts in transitions.items():
             if q not in pos:
                 raise ValueError(f"transition from unknown state {q!r}")
             if sym not in alphabet:
                 raise ValueError(f"transition symbol {sym!r} not in alphabet")
-            for r in set(dsts):
+            for r in dsts:
                 if r not in pos:
                     raise ValueError(f"transition to unknown state {r!r}")
-            uniq = sorted(set(dsts), key=pos.__getitem__)
-            if uniq:
-                norm[(q, sym)] = tuple(uniq)
+        self._fill(alphabet, states, pos, transitions, initial, final)
+
+    @classmethod
+    def _trusted(cls, alphabet, states, transitions: dict, initial, final):
+        """Build an automaton the kernel made, without the membership checks
+        of ``__init__``: the states must be distinct and every state and
+        symbol named must belong.  Target lists are still made unique and
+        sorted by state position."""
+        self = object.__new__(cls)
+        states = tuple(states)
+        pos = {q: i for i, q in enumerate(states)}
+        self._fill(alphabet, states, pos, transitions, frozenset(initial), frozenset(final))
+        return self
+
+    def _fill(self, alphabet, states, pos, transitions, initial, final) -> None:
+        """Set the fields, each target list made unique and sorted by state
+        position."""
+        position = pos.__getitem__
+        norm: dict = {}
+        for edge, dsts in transitions.items():
+            if len(dsts) == 1:
+                norm[edge] = tuple(dsts)
+            elif dsts:
+                norm[edge] = tuple(sorted(set(dsts), key=position))
         self.alphabet = alphabet
         self.states = states
         self.transitions = norm
@@ -87,8 +107,8 @@ class Nfa:
     # -- construction helpers -------------------------------------------------
 
     def _make(self, states, transitions, initial, final) -> "Nfa":
-        """Build an automaton of the same kind over the same alphabet."""
-        return Nfa(self.alphabet, states, transitions, initial, final)
+        """Kernel output of the same kind over the same alphabet."""
+        return self._trusted(self.alphabet, states, transitions, initial, final)
 
     def _check_same_alphabet(self, other: "Nfa") -> None:
         if self.alphabet != other.alphabet:

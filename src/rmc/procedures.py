@@ -25,7 +25,7 @@ from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, RmcError
 from .nfa import Nfa, constrained_search, length_automaton, word_automaton
 from .oracle import build_slice, oracle_check
 from .rts import Rts
-from .transducer import Transducer, diagonal, identity_on
+from .transducer import Transducer, identity_on
 from .verdict import Verdict, Witness, fails, holds, unknown
 
 DEFAULT_BOUND = 8
@@ -104,17 +104,19 @@ def check_deadlock_freedom(rts: Rts) -> Verdict:
 def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
     """Cycle route: find a reachable goal configuration on a cycle.
 
-    A configuration c lies on a cycle iff (c, c) is in delta∘reach, one
-    step out and reach back, provided reach contains the identity and
-    delta (:meth:`Rts.validate` checks both).  The lasso starts at the
-    least such c and goes through its least successor that reach leads
-    back from.  Complete on its own for
+    A configuration c lies on a cycle iff some step (c, y) of delta has
+    (y, c) in reach, one step out and reach back, provided reach contains
+    the identity and delta (:meth:`Rts.validate` checks both).  So the
+    configurations on cycles are the domain of delta ∩ reach⁻¹: one
+    product of two transducers and a projection, with no composition.
+    The lasso starts at the least such c and goes through its least
+    successor that reach leads back from.  Complete on its own for
     length-preserving systems, where any infinite run stays inside one
     finite length class.
     """
     _check_goal(rts, goal)
     relation = rts.relation()
-    on_cycle = diagonal(rts.delta.compose(relation))
+    on_cycle = rts.delta.intersect(relation.inverse()).project(1)
     reachable_goal = rts.reachable_set().intersect(goal)
     config = reachable_goal.intersect(on_cycle).shortest_word()
     if config is None:

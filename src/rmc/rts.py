@@ -105,7 +105,9 @@ class Rts:
         self.delta = delta
         self.reach = reach
         self.preach = preach
-        self.length_preserving = delta.is_length_preserving()
+        # the trimmed step relation, which _step_index reads too
+        self._delta_trimmed = delta.trim()
+        self.length_preserving = self._delta_trimmed.is_letter_to_letter()
         self._cache: dict = {}
 
     @property
@@ -174,7 +176,7 @@ class Rts:
         initial and final states."""
         key = "step"
         if key not in self._cache:
-            delta = self.delta.trim()
+            delta = self._delta_trimmed
             # (#, b) moves keep only targets that can still accept by such
             # moves, so endless growth always meets the cap, even on a
             # delta that is not padding-valid

@@ -8,7 +8,8 @@ never reads a real symbol after padding on the same track; see
 
 The relation algebra lives here: inversion, track projection, relational
 composition, and forward/backward images of regular languages.  Inverse
-and projection keep the state set; composition builds at most
+and projection keep the state set.  Composition and the images are one
+breadth-first product each (:func:`_product`); composition builds at most
 (l1 + 1) * (l2 + 1) states before trimming, one extra per side for a side
 whose words have ended; an image of an n-state language under an l-state
 transducer has at most (n + 1) * l.  Projection and composition assume
@@ -27,16 +28,99 @@ from .nfa import Nfa
 _DONE = object()
 
 
-def _moves_by_middle(t: "Transducer", middle: str, outer: str) -> dict:
-    """Index ``t`` for composition: (state, middle symbol or #) to a list of
-    (outer symbol or #, targets), plus a (#, #) move to DONE from every
-    final state and from DONE itself."""
+def _moves_by_middle(t: "Transducer", middle: int) -> dict:
+    """Index ``t`` for a product that reads its track ``middle`` (0 for
+    top, 1 for bottom) and writes the other: state to middle symbol (or #)
+    to a list of (outer symbol or #, targets), plus the DONE moves of
+    :func:`_with_done`."""
+    outer = 1 - middle
     index: dict = {}
     for (q, sym), dsts in t.transitions.items():
-        index.setdefault((q, getattr(sym, middle)), []).append((getattr(sym, outer), dsts))
-    for q in (*t.final, _DONE):
-        index.setdefault((q, PAD), []).append((PAD, (_DONE,)))
+        index.setdefault(q, {}).setdefault(sym[middle], []).append((sym[outer], dsts))
+    return _with_done(index, t.final)
+
+
+def _moves_of_language(language: Nfa) -> dict:
+    """Index a word language as :func:`_moves_by_middle` indexes its
+    identity relation: each move writes the symbol it reads."""
+    index: dict = {}
+    for (q, sym), dsts in language.transitions.items():
+        index.setdefault(q, {})[sym] = [(sym, dsts)]
+    return _with_done(index, language.final)
+
+
+def _with_done(index: dict, final) -> dict:
+    """Add a (#, #) move to DONE from every final state and from DONE itself."""
+    for q in (*final, _DONE):
+        index.setdefault(q, {}).setdefault(PAD, []).append((PAD, (_DONE,)))
     return index
+
+
+def _product(left: dict, right: dict, start: list, middles: tuple, track: int):
+    """One breadth-first pass over the state pairs reachable from ``start``,
+    both sides reading the same middle symbol, or # once the middle word
+    has ended; each side is indexed by :func:`_moves_by_middle` or
+    :func:`_moves_of_language`.
+
+    A move writes the pair of outer symbols (track 0), the left side's
+    (track 1) or the right side's (track 2).  A move that writes only #,
+    on the kept track or on both for track 0, adds nothing the result
+    reads: it only decides acceptance, which is one closure back from
+    (DONE, DONE) over such moves.  Returns the pairs in the order found,
+    the labelled moves and the accepting pairs.
+    """
+    # ``order`` grows while it is walked, which makes this breadth-first
+    order = list(start)
+    seen = set(start)
+    transitions: dict = {}
+    silent_back: dict = {}
+    for node in order:
+        p, q = node
+        from_p = left.get(p)
+        from_q = right.get(q)
+        if from_p is None or from_q is None:
+            continue
+        for b in middles:
+            rights = from_q.get(b)
+            if rights is None:
+                continue
+            for a, p_dsts in from_p.get(b, ()):
+                for c, q_dsts in rights:
+                    targets = [(p2, q2) for p2 in p_dsts for q2 in q_dsts]
+                    if track == 2:
+                        label = c
+                    elif track == 1:
+                        label = a
+                    else:
+                        label = PAD if a == c == PAD else PairSymbol(a, c)
+                    if label == PAD:
+                        for target in targets:
+                            silent_back.setdefault(target, []).append(node)
+                    else:
+                        transitions.setdefault((node, label), []).extend(targets)
+                    for target in targets:
+                        if target not in seen:
+                            seen.add(target)
+                            order.append(target)
+    final = graph.closure([(_DONE, _DONE)], lambda n: silent_back.get(n, ()))
+    return order, transitions, final & seen
+
+
+def _pair_alphabet(top: Alphabet, bottom: Alphabet, *known: PairAlphabet) -> PairAlphabet:
+    """The pair alphabet of ``top`` and ``bottom``, reusing a known one."""
+    for alphabet in known:
+        if alphabet.top == top and alphabet.bottom == bottom:
+            return alphabet
+    return PairAlphabet(top, bottom)
+
+
+def _start(first: Nfa, second: Nfa) -> list:
+    """Initial state pairs, in state order."""
+    return [
+        (p, q)
+        for p in first.states if p in first.initial
+        for q in second.states if q in second.initial
+    ]
 
 
 class Transducer(Nfa):
@@ -55,9 +139,6 @@ class Transducer(Nfa):
     def bottom(self) -> Alphabet:
         return self.alphabet.bottom
 
-    def _make(self, states, transitions, initial, final) -> "Transducer":
-        return Transducer(self.top, self.bottom, states, transitions, initial, final)
-
     # -- relation queries --------------------------------------------------------
 
     def accepts_pair(self, top_word: Word, bottom_word: Word) -> bool:
@@ -65,11 +146,11 @@ class Transducer(Nfa):
 
     def is_length_preserving(self) -> bool:
         """True when no trimmed transition carries padding."""
-        trimmed = self.trim()
-        return all(
-            sym.top != PAD and sym.bottom != PAD
-            for (_q, sym) in trimmed.transitions
-        )
+        return self.trim().is_letter_to_letter()
+
+    def is_letter_to_letter(self) -> bool:
+        """True when no transition carries padding."""
+        return all(PAD not in sym for (_q, sym) in self.transitions)
 
     def validate_padding(self) -> None:
         """Reject real symbols after padding on a track along any useful path.
@@ -102,8 +183,9 @@ class Transducer(Nfa):
             (q, PairSymbol(sym.bottom, sym.top)): dsts
             for (q, sym), dsts in self.transitions.items()
         }
-        return Transducer(
-            self.bottom, self.top, self.states, transitions, self.initial, self.final
+        alphabet = _pair_alphabet(self.bottom, self.top, self.alphabet)
+        return Transducer._trusted(
+            alphabet, self.states, transitions, self.initial, self.final
         )
 
     def project(self, track: int) -> Nfa:
@@ -130,7 +212,7 @@ class Transducer(Nfa):
             else:
                 transitions.setdefault((q, kept), []).extend(dsts)
         final = graph.closure(self.final, lambda r: silent_back.get(r, ()))
-        return Nfa(target, self.states, transitions, self.initial, final).trim()
+        return Nfa._trusted(target, self.states, transitions, self.initial, final).trim()
 
     def compose(self, other: "Transducer") -> "Transducer":
         """Relational composition: pairs (x, z) with some y relating both sides.
@@ -150,57 +232,56 @@ class Transducer(Nfa):
             raise AlphabetMismatch(
                 "composition needs the first bottom alphabet to equal the second top"
             )
-        left = _moves_by_middle(self, "bottom", "top")
-        right = _moves_by_middle(other, "top", "bottom")
-        middles = self.bottom.symbols + (PAD,)
-        start = [
-            (p, q)
-            for p in self.states if p in self.initial
-            for q in other.states if q in other.initial
-        ]
-        # ``order`` grows while it is walked, which makes this breadth-first
-        order = list(start)
-        seen = set(start)
-        transitions: dict = {}
-        silent_back: dict = {}
-        for node in order:
-            p, q = node
-            for b in middles:
-                rights = right.get((q, b))
-                if not rights:
-                    continue
-                for a, p_dsts in left.get((p, b), ()):
-                    for c, q_dsts in rights:
-                        targets = [(p2, q2) for p2 in p_dsts for q2 in q_dsts]
-                        if a == PAD and c == PAD:
-                            for target in targets:
-                                silent_back.setdefault(target, []).append(node)
-                        else:
-                            transitions.setdefault((node, PairSymbol(a, c)), []).extend(
-                                targets
-                            )
-                        for target in targets:
-                            if target not in seen:
-                                seen.add(target)
-                                order.append(target)
-        final = graph.closure([(_DONE, _DONE)], lambda n: silent_back.get(n, ()))
-        return Transducer(
-            self.top, other.bottom, order, transitions, start, final & seen
-        ).trim()
+        start = _start(self, other)
+        order, transitions, final = _product(
+            _moves_by_middle(self, 1),
+            _moves_by_middle(other, 0),
+            start,
+            self.bottom.symbols + (PAD,),
+            0,
+        )
+        alphabet = _pair_alphabet(self.top, other.bottom, self.alphabet, other.alphabet)
+        return Transducer._trusted(alphabet, order, transitions, start, final).trim()
 
     # -- images ------------------------------------------------------------------
 
     def post_image(self, language: Nfa) -> Nfa:
-        """{y : some x in language with (x, y) in the relation}."""
+        """{y : some x in language with (x, y) in the relation}.
+
+        The automaton of ``identity_on(language).compose(self).project(2)``,
+        built by one product that reads the top track and writes the
+        bottom one.
+        """
         if language.alphabet != self.top:
             raise AlphabetMismatch("language alphabet differs from the top track")
-        return identity_on(language).compose(self).project(2)
+        start = _start(language, self)
+        order, transitions, final = _product(
+            _moves_of_language(language),
+            _moves_by_middle(self, 0),
+            start,
+            self.top.symbols + (PAD,),
+            2,
+        )
+        return Nfa._trusted(self.bottom, order, transitions, start, final).trim()
 
     def pre_image(self, language: Nfa) -> Nfa:
-        """{x : some y in language with (x, y) in the relation}."""
+        """{x : some y in language with (x, y) in the relation}.
+
+        The automaton of ``self.compose(identity_on(language)).project(1)``,
+        built by one product that reads the bottom track and writes the
+        top one.
+        """
         if language.alphabet != self.bottom:
             raise AlphabetMismatch("language alphabet differs from the bottom track")
-        return self.compose(identity_on(language)).project(1)
+        start = _start(self, language)
+        order, transitions, final = _product(
+            _moves_by_middle(self, 1),
+            _moves_of_language(language),
+            start,
+            self.bottom.symbols + (PAD,),
+            1,
+        )
+        return Nfa._trusted(self.top, order, transitions, start, final).trim()
 
 
 # -- stock transducers -------------------------------------------------------------

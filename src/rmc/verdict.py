@@ -25,7 +25,7 @@ class Outcome(str, Enum):
         return {"HOLDS": 0, "FAILS": 1, "UNKNOWN": 2}[self.value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     kind: str
     configurations: tuple[Word, ...]
@@ -38,7 +38,7 @@ class Witness:
             raise ValueError("lasso witness needs loop_start")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     outcome: Outcome
     witness: Witness | None = None

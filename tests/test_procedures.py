@@ -25,6 +25,7 @@ from rmc import (
     check_egf,
     check_egf_clique,
     check_egf_loop,
+    diagonal,
     identity_on,
     length_automaton,
     load_automaton,
@@ -279,6 +280,23 @@ def test_chain_into_the_goal_is_one_composition():
         assert chain.includes(old)[0] and old.includes(chain)[0], seed
         chain.validate_padding()
         nonempty += not chain.is_empty()
+    assert nonempty > 100
+
+
+def test_cycle_test_is_one_intersection():
+    """check_egf_loop finds cycles as dom(δ ∩ reach⁻¹); it is the language
+    of diagonal(δ∘reach), both being {c : (c, y) in δ and (y, c) in reach
+    for some y}, on growing systems and on criterion-2 systems."""
+    systems = [_growing_rts(seed)[0] for seed in range(400)]
+    rng = random.Random(2024)
+    systems += [random_lp_rts(rng)[0] for _ in range(100)]
+    nonempty = 0
+    for rts in systems:
+        by_intersection = rts.delta.intersect(rts.reach.inverse()).project(1)
+        by_composition = diagonal(rts.delta.compose(rts.reach))
+        assert by_intersection.includes(by_composition)[0]
+        assert by_composition.includes(by_intersection)[0]
+        nonempty += not by_intersection.is_empty()
     assert nonempty > 100
 
 

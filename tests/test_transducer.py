@@ -2,31 +2,42 @@
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmc import (
+    Nfa,
     PaddingViolation,
+    Transducer,
     convolve,
     diagonal,
     identity,
     identity_on,
+    load_automaton,
+    load_rts_bundle,
     relation_difference_identity,
     universal,
+    universal_automaton,
     unconvolve,
     word_automaton,
 )
 from support import (
     A,
     AB,
+    ABC,
+    mk_nfa,
     mk_t,
     random_lp_transducer,
     random_nfa,
     random_padded_transducer,
+    random_word_nfa,
     words_nfa,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data"
 
 
 def all_words(alphabet, up_to):
@@ -232,6 +243,121 @@ def test_image_of_single_word():
     assert SUCC.post_image(number_two).accepts(("a", "a", "a"))
     assert SUCC.pre_image(number_two).accepts(("a",))
     assert not SUCC.post_image(number_two).accepts(("a", "a"))
+
+
+def image_pipeline(t, language, direction):
+    """An image as the relation algebra spells it: the reference that the
+    direct product of post_image and pre_image reproduces state for state."""
+    if direction == "post":
+        return identity_on(language).compose(t).project(2)
+    return t.compose(identity_on(language)).project(1)
+
+
+def image_corpus():
+    """(transducer, language) pairs: random padded transducers over A, AB
+    and ABC, each with a random language, a word language and both of its
+    own projections, then every relation of every shipped bundle with
+    each of the bundle's languages."""
+    rng = random.Random(61)
+    for alphabet in (A, AB, ABC):
+        for _ in range(40):
+            t = random_padded_transducer(rng, alphabet, alphabet)
+            languages = (
+                random_nfa(rng, alphabet, max_states=4),
+                random_word_nfa(rng, alphabet),
+                t.project(1),
+                t.project(2),
+            )
+            for language in languages:
+                yield t, language
+    for bundle in sorted(DATA.iterdir()):
+        rts = load_rts_bundle(bundle / "bundle.rts")
+        languages = [load_automaton(path) for path in sorted(bundle.glob("*.nfa"))]
+        for t in (rts.delta, rts.reach, rts.preach):
+            if t is not None:
+                for language in languages:
+                    yield t, language
+
+
+def test_images_are_the_composition_pipeline():
+    """Same states in the same order, same transitions, initial and final
+    states, so every witness read off an image stays the same."""
+    pairs = 0
+    for t, language in image_corpus():
+        assert t.post_image(language) == image_pipeline(t, language, "post")
+        assert t.pre_image(language) == image_pipeline(t, language, "pre")
+        pairs += 1
+    assert pairs > 500
+
+
+def test_image_states_are_pinned():
+    """Witnesses read off an image follow its state order: pairs in the
+    order the breadth-first product finds them, the first operand's
+    targets outer and the second's inner."""
+    language = mk_nfa(A, [("p", "a", "p"), ("p", "a", "q")], ["p"], ["p", "q"])
+    t = mk_t(A, A, [("s", "a/a", "s"), ("s", "a/a", "u"), ("u", "a/a", "u")], ["s"], ["s", "u"])
+    assert t.post_image(language).states == (("p", "s"), ("p", "u"), ("q", "s"), ("q", "u"))
+    assert t.pre_image(language).states == (("s", "p"), ("s", "q"), ("u", "p"), ("u", "q"))
+
+
+def assert_checked(result):
+    """A kernel result equals the checked constructor's rebuild of it."""
+    if isinstance(result, Transducer):
+        rebuilt = Transducer(
+            result.top, result.bottom, result.states, result.transitions,
+            result.initial, result.final,
+        )
+    else:
+        rebuilt = Nfa(
+            result.alphabet, result.states, result.transitions,
+            result.initial, result.final,
+        )
+    assert rebuilt == result
+    assert rebuilt._pos == result._pos
+
+
+def test_kernel_results_pass_the_checked_constructor():
+    """Kernel operations build their results without the membership
+    checks; each result must still be what the checked constructor
+    makes of its own fields."""
+    for t, language in image_corpus():
+        composed = identity_on(language).compose(t)
+        results = (
+            t.post_image(language),
+            t.pre_image(language),
+            composed,
+            t.compose(t.inverse()),
+            composed.project(1),
+            composed.project(2),
+            t.trim(),
+            t.inverse(),
+            t.intersect(t.inverse()),
+            language.intersect(t.project(1)),
+            language.union(t.project(2)),
+            language.trim(),
+            language.complement(),
+        )
+        for result in results:
+            assert_checked(result)
+
+
+def test_image_bound_counts_the_done_side():
+    """An image of an n-state language under an l-state transducer has at
+    most (n + 1) * l states: the language side may end (DONE) while the
+    transducer still writes.  The post-image of a* under {(ε, aᵏ)} takes
+    two states, where n * l is one."""
+    grow = mk_t(A, A, [("s", "#/a", "s")], ["s"], ["s"])
+    image = grow.post_image(universal_automaton(A))
+    assert len(image.states) == 2
+    assert image.accepts(("a", "a"))
+    rng = random.Random(67)
+    for alphabet in (A, AB, ABC):
+        for _ in range(60):
+            t = random_padded_transducer(rng, alphabet, alphabet)
+            language = random_nfa(rng, alphabet, max_states=4)
+            n, l = len(language.states), len(t.states)
+            for image in (t.post_image(language), t.pre_image(language)):
+                assert len(image.states) <= (n + 1) * l
 
 
 def test_diagonal_and_difference_identity():
