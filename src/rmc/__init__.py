@@ -89,7 +89,7 @@ from .procedures import (
     run_check,
 )
 from .report import Report, format_word, parse_word
-from .rts import CheckResult, PropertyGoal, Rts, ValidationReport
+from .rts import CheckResult, Rts, ValidationReport
 from .transducer import (
     Transducer,
     diagonal,

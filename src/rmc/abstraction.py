@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .alphabet import Word
-from .errors import AlphabetMismatch, DeterminismViolation, MissingRelation
+from .errors import DeterminismViolation, MissingRelation
 from .nfa import Nfa, universal_automaton, word_automaton
-from .procedures import _DRIFT_NOTE, _locate, check_egf
-from .rts import PropertyGoal, Rts, ValidationReport, inclusion_checks
+from .procedures import _DRIFT_NOTE, _check_goal, _locate, _reachable_outside, check_egf
+from .rts import Rts, ValidationReport, inclusion_checks
 from .transducer import Transducer, identity
 from .verdict import Verdict, fails, holds, unknown
 
@@ -114,8 +114,7 @@ def validate_preach(rts: Rts) -> ValidationReport:
 def abstract_safety(rts: Rts, unsafe: Nfa) -> Verdict:
     """Is every potentially reachable configuration outside ``unsafe``?
     Holds soundly implies the concrete system never reaches ``unsafe``."""
-    if unsafe.alphabet != rts.alphabet:
-        raise AlphabetMismatch("unsafe language alphabet differs from the system")
+    _check_goal(rts, unsafe)
     potential = _potential(rts)
     found = potential.reachable_set().intersect(unsafe).shortest_word()
     if found is None:
@@ -149,28 +148,31 @@ def abstract_liveness(rts: Rts, goal: Nfa) -> Verdict:
     return check_egf(_potential(rts), goal)
 
 
-def abstract_as_liveness(rts: Rts, goal: PropertyGoal) -> Verdict:
+def abstract_as_liveness(rts: Rts, goal: Nfa, pre_of_goal: Nfa) -> Verdict:
     """Certify almost-sure repeated reachability through the abstraction.
 
-    Needs the exact pre-image of the goal as an input, alongside the
-    potential-reachability relation.  Holds proves the concrete property;
-    Fails only means the abstraction is inconclusive, and the note says
-    so.  A system that is not length-preserving gets Unknown instead of
-    Holds.
+    ``pre_of_goal`` must hold only configurations that can reach the
+    goal, as its exact pre-image does.  It is an input like ``preach``;
+    a configuration that cannot reach the goal even through ``preach``
+    hops is refused.  Holds proves the concrete property; Fails only
+    means the abstraction is inconclusive, and the note says so.  A
+    system that is not length-preserving gets Unknown instead of Holds.
     """
-    if goal.pre_of_goal is None:
-        raise MissingRelation(
-            "abstract almost-sure liveness needs the goal's pre-image set"
-        )
+    _check_goal(rts, goal)
     potential = _potential(rts)
-    target = rts.delta.project(1).intersect(goal.pre_of_goal)
-    ok, escape = target.includes(potential.reachable_set())
-    if not ok:
+    domain = rts.delta.project(1)
+    found = _reachable_outside(
+        potential, [domain, pre_of_goal, potential.relation().pre_image(goal)]
+    )
+    if found is not None:
+        if domain.accepts(found) and pre_of_goal.accepts(found):
+            reason = "cannot reach the goal even through preach hops"
+        else:
+            reason = "either has no successor or lies outside the supplied goal pre-image"
         return fails(
-            witness=_locate(potential, escape),
-            note="abstraction inconclusive: a potentially reachable configuration "
-            "either has no successor or lies outside the supplied goal "
-            "pre-image; the concrete property itself may still hold either way",
+            witness=_locate(potential, found),
+            note=f"abstraction inconclusive: a potentially reachable configuration {reason}; "
+            "the concrete property itself may still hold either way",
         )
     note = "every potentially reachable configuration can step and can reach the goal"
     if not rts.length_preserving:

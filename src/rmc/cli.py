@@ -1,7 +1,15 @@
 """Command line front end.
 
-Exit codes: 0 when the answer is Holds (or true), 1 for Fails (or false),
-2 for Unknown, and 3 for usage or input errors.
+Each verdict command returns a :class:`~rmc.report.Report`, which
+:func:`main` alone times and prints.  The options a property or mode
+needs come from tables and are checked before anything loads.  A cap
+reached anywhere, bundle validation included, answers Unknown and names
+the command and the cap.  ``algebra`` prints an automaton instead, and a
+cap there is an error.
+
+Exit codes: 0 when the answer is Holds (or true) and for simulation
+statistics, 1 for Fails (or false), 2 for Unknown, and 3 for usage or
+input errors.
 """
 
 from __future__ import annotations
@@ -24,13 +32,13 @@ from .abstraction import (
     separates,
     validate_preach,
 )
-from .errors import CapExceeded, ParseError, RmcError, SuccessorCapExceeded
+from .errors import CapExceeded, ParseError, RmcError
 from .formats import load_automaton, load_rts_bundle, save_automaton, serialize_automaton
 from .nfa import Nfa
 from .oracle import SimulationConfig, build_slice, dump_slice, oracle_check, simulate
 from .procedures import DEFAULT_BOUND, PROPERTIES, run_check
 from .report import Report, parse_word
-from .rts import PropertyGoal, Rts
+from .rts import Rts
 from .transducer import Transducer
 from .verdict import Outcome, Verdict, Witness, unknown
 
@@ -97,55 +105,36 @@ class _Loaded:
         return _load_language(_resolve_language(name, self.directory))
 
 
-def _emit(rep: Report, as_json: bool, started: float) -> None:
-    rep = dataclasses.replace(rep, elapsed_ms=int((time.monotonic() - started) * 1000))
-    if as_json:
-        print(rep.to_json())
-    else:
-        print(rep.render(), end="")
-
-
-def _cmd_check(args, started: float) -> int:
+def _cmd_check(args, command: str) -> Report:
     loaded = _Loaded(args.rts)
     goal = loaded.language(args.goal) if args.goal else None
     verdict = run_check(loaded.rts, args.property, goal=goal, bound=args.max_length)
-    command = f"check {args.property}"
-    _emit(report_mod.from_verdict(command, verdict), args.json, started)
-    return verdict.outcome.exit_code
+    return report_mod.from_verdict(command, verdict)
 
 
-def _cmd_abstract(args, started: float) -> int:
+# abstract mode -> (the options it needs, the check it runs on the system
+# and, in that order, their languages); validate reports its checks instead
+_ABSTRACT = {
+    "safety": (("goal",), abstract_safety),
+    "liveness": (("goal",), abstract_liveness),
+    "sure-term": ((), abstract_sure_termination),
+    "as-liveness": (("goal", "pre_of_goal"), abstract_as_liveness),
+    "validate": ((), None),
+}
+
+
+def _cmd_abstract(args, command: str) -> Report:
     loaded = _Loaded(args.rts)
-    command = f"abstract {args.mode}"
     if args.mode == "validate":
         validation = validate_preach(loaded.rts)
         outcome = Outcome.HOLDS if validation.ok else Outcome.FAILS
-        rep = Report(command=command, outcome=outcome, checks=validation.checks)
-        _emit(rep, args.json, started)
-        return outcome.exit_code
-    if args.mode == "safety":
-        if not args.goal:
-            raise ParseError("abstract safety needs --goal with the unsafe language")
-        verdict = abstract_safety(loaded.rts, loaded.language(args.goal))
-    elif args.mode == "liveness":
-        if not args.goal:
-            raise ParseError("abstract liveness needs --goal")
-        verdict = abstract_liveness(loaded.rts, loaded.language(args.goal))
-    elif args.mode == "sure-term":
-        verdict = abstract_sure_termination(loaded.rts)
-    else:  # as-liveness
-        if not args.goal or not args.pre_of_goal:
-            raise ParseError("abstract as-liveness needs --goal and --pre-of-goal")
-        goal = PropertyGoal(
-            goal=loaded.language(args.goal),
-            pre_of_goal=loaded.language(args.pre_of_goal),
-        )
-        verdict = abstract_as_liveness(loaded.rts, goal)
-    _emit(report_mod.from_verdict(command, verdict), args.json, started)
-    return verdict.outcome.exit_code
+        return Report(command=command, outcome=outcome, checks=validation.checks)
+    needs, check = _ABSTRACT[args.mode]
+    languages = (loaded.language(getattr(args, option)) for option in needs)
+    return report_mod.from_verdict(command, check(loaded.rts, *languages))
 
 
-def _cmd_oracle(args, started: float) -> int:
+def _cmd_oracle(args, command: str) -> Report:
     loaded = _Loaded(args.rts)
     goal = loaded.language(args.goal) if args.goal else None
     try:
@@ -162,23 +151,15 @@ def _cmd_oracle(args, started: float) -> int:
             witness=witness,
             note=f"decided by explicit search over the length-{args.length} slice",
         )
-    command = f"oracle {args.property}"
-    _emit(report_mod.from_verdict(command, verdict), args.json, started)
-    return verdict.outcome.exit_code
+    return report_mod.from_verdict(command, verdict)
 
 
-def _cmd_simulate(args, started: float) -> int:
+def _cmd_simulate(args, command: str) -> Report:
     loaded = _Loaded(args.rts)
     goal = loaded.language(args.goal) if args.goal else None
     config = SimulationConfig(runs=args.runs, max_steps=args.steps, seed=args.seed)
-    try:
-        stats = simulate(loaded.rts, parse_word(args.start), config, goal=goal)
-    except SuccessorCapExceeded as err:
-        verdict = unknown(note=f"the walks stopped: {err}")
-        _emit(report_mod.from_verdict("simulate", verdict), args.json, started)
-        return verdict.outcome.exit_code
-    _emit(Report(command="simulate", outcome=None, stats=stats), args.json, started)
-    return 0
+    stats = simulate(loaded.rts, parse_word(args.start), config, goal=goal)
+    return Report(command=command, outcome=None, stats=stats)
 
 
 def _algebra_result(args) -> Nfa:
@@ -219,7 +200,7 @@ def _algebra_result(args) -> Nfa:
     return first.inverse()
 
 
-def _cmd_algebra(args, started: float) -> int:
+def _cmd_algebra(args) -> int:
     result = _algebra_result(args)
     if args.out:
         save_automaton(result, Path(args.out))
@@ -228,39 +209,37 @@ def _cmd_algebra(args, started: float) -> int:
     return 0
 
 
-def _cmd_constraint(args, started: float) -> int:
-    if args.mode in ("inductive", "certify") and not args.rts:
-        raise ParseError(f"constraint {args.mode} needs --rts")
+# constraint mode -> the options it needs
+_CONSTRAINT = {
+    "inductive": ("rts",),
+    "separates": ("config", "other"),
+    "certify": ("rts", "config", "other"),
+}
+
+
+def _cmd_constraint(args, command: str) -> Report:
     loaded = _Loaded(args.rts) if args.rts else None
     bundle_dir = loaded.directory if loaded else None
     interp = Interpretation(
         _load_transducer(_resolve_language(args.interp, bundle_dir))
     )
     constraint = parse_word(args.constraint)
-    command = f"constraint {args.mode}"
-    witness = None
-    note = None
+    witness = note = None
     if args.mode == "inductive":
         ok, escape = is_inductive(loaded.rts, interp, constraint)
         if escape is not None:
             witness = Witness("pair", escape)
             note = "this step leaves the constraint's configuration set"
     elif args.mode == "separates":
-        if not args.config or not args.other:
-            raise ParseError("constraint separates needs --config and --other")
         ok = separates(interp, constraint, parse_word(args.config), parse_word(args.other))
     else:  # certify
-        if not args.config or not args.other:
-            raise ParseError("constraint certify needs --config and --other")
         ok = certify_unreachable(
             loaded.rts, interp, constraint, parse_word(args.config), parse_word(args.other)
         )
         if not ok:
             note = "the constraint is not inductive or does not separate the pair"
     outcome = Outcome.HOLDS if ok else Outcome.FAILS
-    rep = Report(command=command, outcome=outcome, witness=witness, note=note)
-    _emit(rep, args.json, started)
-    return outcome.exit_code
+    return Report(command=command, outcome=outcome, witness=witness, note=note)
 
 
 def _non_negative(text: str) -> int:
@@ -300,12 +279,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(check)
 
     abstract = sub.add_parser("abstract", help="reason through a supplied abstraction")
-    abstract.add_argument(
-        "mode", choices=("safety", "liveness", "sure-term", "as-liveness", "validate")
-    )
+    abstract.add_argument("mode", choices=tuple(_ABSTRACT))
     abstract.add_argument("--rts", required=True)
     abstract.add_argument("--goal", help="goal language; the unsafe set for safety")
-    abstract.add_argument("--pre-of-goal", help="exact pre-image of the goal (as-liveness)")
+    abstract.add_argument("--pre-of-goal", help="configurations that all reach the goal (as-liveness)")
     add_json(abstract)
 
     oracle = sub.add_parser("oracle", help="explicit-state ground truth for one length")
@@ -341,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     algebra.add_argument("--track", type=int, choices=(1, 2), default=1)
 
     constraint = sub.add_parser("constraint", help="constraint-language queries")
-    constraint.add_argument("mode", choices=("inductive", "separates", "certify"))
+    constraint.add_argument("mode", choices=tuple(_CONSTRAINT))
     constraint.add_argument("--interp", required=True, help="interpretation transducer file")
     constraint.add_argument("--rts", help="bundle (inductive and certify)")
     constraint.add_argument("--constraint", required=True, help="constraint word, space-separated")
@@ -357,9 +334,19 @@ _DISPATCH = {
     "abstract": _cmd_abstract,
     "oracle": _cmd_oracle,
     "simulate": _cmd_simulate,
-    "algebra": _cmd_algebra,
     "constraint": _cmd_constraint,
 }
+
+
+def _needs(args) -> tuple[str, ...]:
+    """The options this command needs that argparse cannot require."""
+    if args.command in ("check", "oracle"):
+        return ("goal",) if PROPERTIES[args.property].needs_goal else ()
+    if args.command == "abstract":
+        return _ABSTRACT[args.mode][0]
+    if args.command == "constraint":
+        return _CONSTRAINT[args.mode]
+    return ()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -369,14 +356,25 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return 0 if exit_.code == 0 else 3
     started = time.monotonic()
+    detail = getattr(args, "property", None) or getattr(args, "mode", None)
+    command = f"{args.command} {detail}" if detail else args.command
     try:
-        return _DISPATCH[args.command](args, started)
-    except RmcError as err:
+        missing = [name for name in _needs(args) if not getattr(args, name)]
+        if missing:
+            flags = " and ".join("--" + name.replace("_", "-") for name in missing)
+            raise ParseError(f"{command} needs {flags}")
+        if args.command == "algebra":
+            return _cmd_algebra(args)
+        try:
+            rep = _DISPATCH[args.command](args, command)
+        except CapExceeded as err:
+            rep = report_mod.from_verdict(command, unknown(note=f"{command} stopped at a cap: {err}"))
+    except (RmcError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+    rep = dataclasses.replace(rep, elapsed_ms=int((time.monotonic() - started) * 1000))
+    sys.stdout.write(rep.to_json() + "\n" if args.json else rep.render())
+    return 0 if rep.outcome is None else rep.outcome.exit_code
 
 
 if __name__ == "__main__":

@@ -359,7 +359,6 @@ class SimulationConfig:
     runs: int = 100
     max_steps: int = 1000
     seed: int = 0
-    successor_cap: int = Rts.DEFAULT_SUCCESSOR_CAP
 
 
 @dataclass(frozen=True)
@@ -387,8 +386,9 @@ def simulate(
     configuration; a run that has moved ``max_steps`` times stops
     unabsorbed.  Configurations are numbered as they are found, and their
     successors listed once, when a run first steps from them; more than
-    ``successor_cap`` of them is an error rather than a silently biased
-    sample.  A fixed seed reproduces the statistics exactly.
+    ``Rts.DEFAULT_SUCCESSOR_CAP`` of them is an error rather than a
+    silently biased sample.  A fixed seed reproduces the statistics
+    exactly.
     """
     if config.runs < 1 or config.max_steps < 0:
         raise ValueError(
@@ -412,11 +412,11 @@ def simulate(
         deg = degree[cur]
         if deg.min() < 0:
             for i in sorted(set(cur[deg < 0].tolist())):
-                out, truncated = rts.successors(words[i], config.successor_cap)
+                out, truncated = rts.successors(words[i])
                 if truncated:
                     raise SuccessorCapExceeded(
                         f"configuration {' '.join(words[i]) or 'ε'} has more successors "
-                        f"than the cap of {config.successor_cap}"
+                        f"than the cap of {Rts.DEFAULT_SUCCESSOR_CAP}"
                     )
                 # a word's id is its index in ``words``
                 row = [ids.setdefault(w, len(ids)) for w in out]

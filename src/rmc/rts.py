@@ -56,19 +56,6 @@ def inclusion_checks(relation: Transducer, named) -> tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-@dataclass(frozen=True)
-class PropertyGoal:
-    """A goal language, optionally with a caller-supplied pre-image.
-
-    ``pre_of_goal`` names the set of configurations claimed to reach the
-    goal; checks that need it treat it as an input in the same way reach
-    and preach are inputs.
-    """
-
-    goal: Nfa
-    pre_of_goal: Nfa | None = None
-
-
 def _advance(level, moves: dict) -> dict:
     """One top symbol of a run: each ``(prefix, states)`` of ``level``
     takes the ``(bottom, targets)`` moves of its states, and a padded

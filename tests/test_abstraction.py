@@ -12,7 +12,6 @@ from rmc import (
     Interpretation,
     MissingRelation,
     Outcome,
-    PropertyGoal,
     Rts,
     abstract_as_liveness,
     abstract_liveness,
@@ -210,19 +209,14 @@ def test_abstract_liveness():
 
 
 def test_abstract_as_liveness():
-    goal = PropertyGoal(
-        words_nfa(AB, {("b",)}), pre_of_goal=words_nfa(AB, {("a",), ("b",)})
-    )
-    verdict = abstract_as_liveness(spin_rts(), goal)
+    goal, pre = words_nfa(AB, {("b",)}), words_nfa(AB, {("a",), ("b",)})
+    verdict = abstract_as_liveness(spin_rts(), goal, pre)
     assert verdict.holds
 
-    verdict = abstract_as_liveness(toggle_rts(), goal)
+    verdict = abstract_as_liveness(toggle_rts(), goal, pre)
     assert verdict.fails
     assert verdict.note.startswith("abstraction inconclusive")
     assert verdict.witness.configurations[-1] == ("b",)
-
-    with pytest.raises(MissingRelation):
-        abstract_as_liveness(spin_rts(), PropertyGoal(words_nfa(AB, {("b",)})))
 
 
 def test_abstract_as_liveness_on_a_drift_walk_is_unknown():
@@ -230,10 +224,9 @@ def test_abstract_as_liveness_on_a_drift_walk_is_unknown():
     length walks up with probability 2/3 and leaves the goal behind."""
     rts = Rts(words_nfa(AB, {()}), DRIFT, preach=universal(AB, AB))
     assert validate_preach(rts).ok
-    goal = PropertyGoal(
-        length_automaton(AB, 1, upto=True), pre_of_goal=universal_automaton(AB)
+    verdict = abstract_as_liveness(
+        rts, length_automaton(AB, 1, upto=True), universal_automaton(AB)
     )
-    verdict = abstract_as_liveness(rts, goal)
     assert verdict.unknown
     assert "not length-preserving" in verdict.note
 
@@ -245,7 +238,7 @@ def test_abstract_as_liveness_matches_oracle():
     for _ in range(30):
         rts, goal = random_lp_rts(rng, max_length=3)
         pre = rts.relation().pre_image(goal)
-        verdict = abstract_as_liveness(rts, PropertyGoal(goal, pre_of_goal=pre))
+        verdict = abstract_as_liveness(rts, goal, pre)
         if not verdict.holds:
             continue
         for n in range(1, 4):
@@ -301,12 +294,12 @@ def test_coarser_preach_leaves_checks_alone_and_abstracts_soundly():
         def oracle(prop, language):
             return [oracle_check(sliced, prop, language)[0] for sliced in slices]
 
-        as_goal = PropertyGoal(goal, pre_of_goal=reach.pre_image(goal))
+        pre = reach.pre_image(goal)
         modes = {
             "safety": lambda system: abstract_safety(system, goal),
             "liveness": lambda system: abstract_liveness(system, goal),
             "sure-term": abstract_sure_termination,
-            "as-liveness": lambda system: abstract_as_liveness(system, as_goal),
+            "as-liveness": lambda system: abstract_as_liveness(system, goal, pre),
         }
         verdicts = {mode: run(rts) for mode, run in modes.items()}
         if verdicts["safety"].holds:

@@ -401,6 +401,64 @@ def test_abstract_as_liveness(capsys):
     assert out.startswith("VERDICT: HOLDS")
 
 
+def test_abstract_as_liveness_reads_the_goal(capsys):
+    """No configuration can reach the empty goal, whatever the supplied
+    pre-image says; the oracle finds the property false at length 5."""
+    argv = ("--rts", "herman-lp", "--goal", "empty")
+    for pre in ("all", "tokens"):
+        code, out, _ = run(capsys, "abstract", "as-liveness", *argv, "--pre-of-goal", pre)
+        assert code == 1
+        assert "cannot reach the goal even through preach hops" in out
+    assert run(capsys, "oracle", *argv, "--length", "5", "--property", "as-gf")[0] == 1
+
+
+_CAPPED = [
+    ("abstract", "validate", "--rts", "herman-lp"),
+    ("abstract", "safety", "--rts", "herman-lp", "--goal", "one-token"),
+    ("abstract", "liveness", "--rts", "herman-lp", "--goal", "one-token"),
+    ("abstract", "sure-term", "--rts", "herman-lp"),
+    ("abstract", "as-liveness", "--rts", "herman-lp", "--goal", "one-token",
+     "--pre-of-goal", "tokens"),
+    ("check", "ef", "--rts", "toggle", "--goal", "done"),
+    ("constraint", "inductive", "--interp", "ident.t", "--rts", "toggle", "--constraint", "a"),
+]
+
+
+@pytest.mark.parametrize("argv", _CAPPED, ids=[" ".join(argv[:2]) for argv in _CAPPED])
+def test_a_cap_anywhere_is_unknown_naming_the_command(capsys, monkeypatch, argv):
+    """From cap 1 up to the first cap that lets the command answer, it
+    answers Unknown and names itself and the cap, whether the cap stops
+    the bundle's validation or the command's own work."""
+    command = " ".join(argv[:2])
+    for cap in range(1, 65):
+        monkeypatch.setenv("RMC_STATE_CAP", str(cap))
+        code, out, err = run(capsys, *argv)
+        if code != 2:
+            break
+        assert not err
+        assert out.startswith(f"VERDICT: UNKNOWN\nnote: {command} stopped at a cap: ")
+        assert f"state cap of {cap}" in out
+    assert code in (0, 1) and cap > 1
+
+
+def test_validate_over_state_cap_after_loading_is_unknown(capsys, monkeypatch):
+    # herman-lp loads at cap 8; checking its preach needs more
+    monkeypatch.setenv("RMC_STATE_CAP", "8")
+    code, out, err = run(capsys, "abstract", "validate", "--rts", "herman-lp", "--json")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["outcome"] == "UNKNOWN"
+
+
+def test_missing_options_are_usage_errors_at_any_length(capsys):
+    # the slice of length 20 is over its cap; the goal is missing first
+    for length in ("3", "20"):
+        code, out, err = run(
+            capsys, "oracle", "--rts", "herman-lp", "--length", length, "--property", "ef"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: oracle ef needs --goal\n"
+
+
 def test_bad_arguments_exit_three(capsys):
     assert main(["check"]) == 3
     assert main([]) == 3

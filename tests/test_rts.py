@@ -104,10 +104,15 @@ def test_successors_ordering_and_cap():
     )
     words, truncated = noisy.successors(("a",), cap=1)
     assert truncated and len(words) == 1
+    # a keeps its a and appends any nonempty word: more successors than any cap
+    append_any = Rts(
+        words_nfa(AB, {("a",)}),
+        mk_t(AB, AB, [("s", "a/a", "t"), ("t", "#/a", "t"), ("t", "#/b", "t")], ["s"], ["t"]),
+    )
     with pytest.raises(SuccessorCapExceeded):
         from rmc.oracle import SimulationConfig, simulate
 
-        simulate(noisy, ("a",), SimulationConfig(runs=1, max_steps=2, successor_cap=1))
+        simulate(append_any, ("a",), SimulationConfig(runs=1, max_steps=2))
 
 
 def test_successors_match_the_post_image():
