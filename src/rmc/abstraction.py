@@ -160,9 +160,9 @@ def abstract_as_liveness(rts: Rts, goal: Nfa, pre_of_goal: Nfa) -> Verdict:
     """
     _check_goal(rts, goal)
     potential = _potential(rts)
-    domain = rts.delta.project(1)
+    domain = rts.delta.lazy_domain()
     found = _reachable_outside(
-        potential, [domain, pre_of_goal, potential.relation().pre_image(goal)]
+        potential, [domain, pre_of_goal, potential.relation().lazy_pre_image(goal)]
     )
     if found is not None:
         if domain.accepts(found) and pre_of_goal.accepts(found):

@@ -334,41 +334,85 @@ class Nfa:
 # -- on-the-fly product search ------------------------------------------------------
 
 
+class LazyNfa:
+    """An automaton explored only as a search asks: ``moves[state]`` maps
+    symbols to successor states, and a state accepts when moves on
+    ``silent``, which read nothing, lead it to ``final``.  Both are worked
+    out once per state."""
+
+    __slots__ = ("alphabet", "initial", "moves", "accepting")
+
+    def __init__(self, alphabet, initial: Iterable[State], moves: Callable, silent, final: State):
+        # no reference back to ``self``: freed without a garbage collection;
+        # most states have no silent moves and need no closure
+        self.alphabet = alphabet
+        self.initial = frozenset(initial)
+        self.moves = known = _Memo(moves)
+        self.accepting = _Memo(lambda state: (
+            final in graph.closure([state], lambda q: known[q].get(silent, ()))
+            if silent in known[state] else state == final
+        ))
+
+    def accepts(self, word: Sequence) -> bool:
+        current = self.initial
+        for sym in word:
+            current = {r for q in current for r in self.moves[q].get(sym, ())}
+        return any(self.accepting[q] for q in current)
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``."""
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute: Callable):
+        self._compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self._compute(key)
+        return value
+
+
 class _Subsets:
     """The subset construction of one automaton, built lazily.
 
-    Subsets are frozensets of state positions.  ``found`` lists them in
-    the order :meth:`step` first produced them, starting with ``start``,
-    and ``number`` maps each to its place in that list.  Steps are
-    memoized; a step that would make more than ``cap`` subsets raises
-    :class:`StateCapExceeded`.
+    Subsets are frozensets of states, by position for an :class:`Nfa`.
+    ``found`` lists them in the order :meth:`step` first produced them,
+    starting with ``start``, and ``number`` maps each to its place in that
+    list.  Steps are memoized; a step that would make more than ``cap``
+    subsets raises :class:`StateCapExceeded`.
     """
 
-    __slots__ = ("start", "found", "number", "_moves", "_final", "_steps", "_cap")
+    __slots__ = ("start", "found", "number", "_moves", "_accepting", "_steps", "_cap")
 
-    def __init__(self, nfa: Nfa, cap: int):
-        pos = nfa._pos
-        self._moves = {
-            (pos[q], sym): tuple(pos[r] for r in dsts)
-            for (q, sym), dsts in nfa.transitions.items()
-        }
-        self._final = frozenset(pos[q] for q in nfa.final)
+    def __init__(self, nfa: Nfa | LazyNfa, cap: int):
+        if isinstance(nfa, Nfa):
+            pos = nfa._pos
+            self._moves = [{} for _ in nfa.states]
+            for (q, sym), dsts in nfa.transitions.items():
+                self._moves[pos[q]][sym] = tuple(pos[r] for r in dsts)
+            self._accepting = [q in nfa.final for q in nfa.states]
+            self.start = frozenset(pos[q] for q in nfa.initial)
+        else:
+            self._moves = nfa.moves
+            self._accepting = nfa.accepting
+            self.start = nfa.initial
         self._steps: dict = {}
         self._cap = cap
-        self.start = frozenset(pos[q] for q in nfa.initial)
         self.found = [self.start]
         self.number = {self.start: 0}
 
     def final(self, subset: frozenset) -> bool:
-        return not self._final.isdisjoint(subset)
+        return any(self._accepting[q] for q in subset)
 
     def step(self, subset: frozenset, sym) -> frozenset:
         key = (subset, sym)
         nxt = self._steps.get(key)
         if nxt is None:
             out: set = set()
+            moves = self._moves
             for p in subset:
-                out.update(self._moves.get((p, sym), ()))
+                out.update(moves[p].get(sym, ()))
             nxt = frozenset(out)
             if nxt not in self.number:
                 if len(self.found) >= self._cap:
@@ -383,7 +427,7 @@ class _Subsets:
 
 def constrained_search(
     pos: Nfa,
-    dets: Sequence[Nfa],
+    dets: Sequence[Nfa | LazyNfa],
     accept: Callable[[bool, tuple], bool],
 ) -> tuple | None:
     """Shortest word w in L(pos) filtered by determinized side conditions.
@@ -396,6 +440,10 @@ def constrained_search(
     or None.  The subset parts are never materialized beyond the states
     the search actually visits; if any of them still grows past the
     state cap, the search raises rather than running away.
+
+    A side may be a :class:`LazyNfa`, whose states are found only as its
+    subsets step along the search's words; they count against the cap like
+    any others, though they may hold dead states a trimmed automaton lacks.
 
     The search takes words by length, then in alphabet order.  All the
     product nodes one word reaches share its subsets, so each length is a

@@ -39,24 +39,17 @@ def _check_goal(rts: Rts, goal: Nfa) -> None:
 
 
 def _locate(rts: Rts, target: Word) -> Witness:
-    """A witness that ``target`` is reachable: a stepwise path when a
-    slice of its length is affordable, else a source/target pair under
-    the reachability relation."""
-    index = None
-    if rts.length_preserving:
-        try:
-            slice_ = build_slice(
-                rts, len(target), config_cap=_WITNESS_SLICE_CAP, reachable=True
-            )
-        except CapExceeded:
-            pass  # too many configurations for a stepwise path
-        else:
-            # None when the relation claims more than the steps reach
-            index = slice_.index_of(target)
-    if index is not None:
-        _order, parents = graph.bfs(slice_.edges, slice_.initial)
-        nodes = graph.path_to(parents, index)
-        return Witness("path", tuple(slice_.configurations[i] for i in nodes))
+    """A witness that ``target`` is reachable: the stepwise path a
+    breadth-first search of its slice gives when the search meets it
+    before any cap, even in a slice over the cap; else a source/target
+    pair under the reachability relation, as when the relation claims
+    more than the steps reach."""
+    try:
+        path = _step_path(rts, target) if rts.length_preserving else None
+    except CapExceeded:
+        path = None  # a subset construction outgrew the state cap
+    if path is not None:
+        return Witness("path", path)
     here = word_automaton(rts.alphabet, target)
     source = rts.relation().pre_image(here).intersect(rts.initial).shortest_word()
     if source is None:
@@ -66,7 +59,30 @@ def _locate(rts: Rts, target: Word) -> Witness:
     return Witness("pair", (source, target))
 
 
-def _reachable_outside(rts: Rts, languages: list[Nfa]) -> Word | None:
+def _step_path(rts: Rts, target: Word) -> tuple[Word, ...] | None:
+    """Breadth-first from the initial words of the target's length through
+    successors, each in alphabet order; None if a cap comes first."""
+    cap = _WITNESS_SLICE_CAP
+    if rts.initial.count_words(len(target)) > cap:
+        return None
+    same_length = length_automaton(rts.alphabet, len(target))
+    parents = dict.fromkeys(rts.initial.intersect(same_length).enumerate_words(cap)[0])
+    # ``order`` grows while it is walked, which makes this breadth-first
+    order = list(parents)
+    for config in order:
+        if target in parents:
+            return tuple(graph.path_to(parents, target))
+        successors, truncated = rts.successors(config, cap)
+        if truncated or len(parents) > cap:
+            return None
+        for successor in successors:
+            if successor not in parents:
+                parents[successor] = config
+                order.append(successor)
+    return None
+
+
+def _reachable_outside(rts: Rts, languages: list) -> Word | None:
     """The least reachable configuration missing from one of ``languages``."""
     return constrained_search(
         rts.reachable_set(),
@@ -89,7 +105,7 @@ def check_ef(rts: Rts, goal: Nfa) -> Verdict:
 
 def check_deadlock_freedom(rts: Rts) -> Verdict:
     """Does every reachable configuration have at least one successor?"""
-    found = _reachable_outside(rts, [rts.delta.project(1)])
+    found = _reachable_outside(rts, [rts.delta.lazy_domain()])
     if found is None:
         return holds(note="every reachable configuration has a successor")
     return fails(
@@ -107,18 +123,19 @@ def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
     A configuration c lies on a cycle iff some step (c, y) of delta has
     (y, c) in reach, one step out and reach back, provided reach contains
     the identity and delta (:meth:`Rts.validate` checks both).  So the
-    configurations on cycles are the domain of delta ∩ reach⁻¹: one
-    product of two transducers and a projection, with no composition.
-    The lasso starts at the least such c and goes through its least
-    successor that reach leads back from.  Complete on its own for
-    length-preserving systems, where any infinite run stays inside one
-    finite length class.
+    configurations on cycles are the domain of delta ∩ reach⁻¹, searched
+    lazily as the round trips of delta and reach beside the goal.  The
+    lasso starts at the least such c and goes through its least successor
+    that reach leads back from.  Complete on its own for length-preserving
+    systems, where any infinite run stays inside one finite length class.
     """
     _check_goal(rts, goal)
     relation = rts.relation()
-    on_cycle = rts.delta.intersect(relation.inverse()).project(1)
-    reachable_goal = rts.reachable_set().intersect(goal)
-    config = reachable_goal.intersect(on_cycle).shortest_word()
+    config = constrained_search(
+        rts.reachable_set(),
+        [goal, rts.delta.lazy_round_trip(relation)],
+        lambda pos_final, hits: pos_final and all(hits),
+    )
     if config is None:
         return fails(note="no reachable goal configuration lies on a cycle")
     if rts.delta.accepts_pair(config, config):
@@ -311,10 +328,11 @@ def check_as_gf(rts: Rts, goal: Nfa) -> Verdict:
     one?  Fails exactly when some reachable configuration either has no
     successor or cannot reach the goal at all.  Otherwise holds on a
     length-preserving system, or when every reachable configuration is a
-    goal configuration with a successor; else Unknown."""
+    goal configuration with a successor; else Unknown.  Both languages,
+    dom(delta) and the goal's pre-image under reach, are lazy."""
     _check_goal(rts, goal)
-    domain = rts.delta.project(1)
-    can_reach_goal = rts.relation().pre_image(goal)
+    domain = rts.delta.lazy_domain()
+    can_reach_goal = rts.relation().lazy_pre_image(goal)
     found = _reachable_outside(rts, [domain, can_reach_goal])
     if found is None:
         note = "every reachable configuration can step and can reach the goal"
@@ -333,8 +351,9 @@ def check_as_termination(rts: Rts) -> Verdict:
     """Does a random run reach a successor-free configuration with
     probability one?  Fails exactly when some reachable configuration
     cannot reach any successor-free one; otherwise holds on a
-    length-preserving system and is Unknown on any other."""
-    can_halt = rts.relation().pre_image(rts.terminating())
+    length-preserving system and is Unknown on any other.  The pre-image
+    under reach of the successor-free configurations is lazy."""
+    can_halt = rts.relation().lazy_pre_image(rts.terminating())
     found = _reachable_outside(rts, [can_halt])
     if found is None:
         note = "every reachable configuration can reach a successor-free one"

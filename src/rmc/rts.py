@@ -92,9 +92,8 @@ class Rts:
         self.delta = delta
         self.reach = reach
         self.preach = preach
-        # the trimmed step relation, which _step_index reads too
-        self._delta_trimmed = delta.trim()
-        self.length_preserving = self._delta_trimmed.is_letter_to_letter()
+        # a trim can show padded moves dead; without any, none is needed
+        self.length_preserving = delta.is_letter_to_letter() or delta.is_length_preserving()
         self._cache: dict = {}
 
     @property
@@ -163,7 +162,7 @@ class Rts:
         initial and final states."""
         key = "step"
         if key not in self._cache:
-            delta = self._delta_trimmed
+            delta = self.delta.trim()
             # (#, b) moves keep only targets that can still accept by such
             # moves, so endless growth always meets the cap, even on a
             # delta that is not padding-valid

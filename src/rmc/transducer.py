@@ -14,6 +14,10 @@ breadth-first product each (:func:`_product`); composition builds at most
 whose words have ended; an image of an n-state language under an l-state
 transducer has at most (n + 1) * l.  Projection and composition assume
 padding-valid operands, which loading checks.
+
+Pre-images and round trips also come lazily, for a search.  Built or
+lazy, a product moves by :func:`_node_moves` and a pair accepts when moves
+writing only # lead it to (DONE, DONE): padding is defined once for both.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from . import graph
 from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word, convolve
 from .errors import AlphabetMismatch, PaddingViolation
-from .nfa import Nfa
+from .nfa import LazyNfa, Nfa, universal_automaton
 
 # the state a composed side moves to once its words have ended; a private
 # object, so it equals no state of a caller's transducer
@@ -56,7 +60,32 @@ def _with_done(index: dict, final) -> dict:
     return index
 
 
-def _product(left: dict, right: dict, start: list, middles: tuple, track: int):
+def _node_moves(left: dict, right: dict, node: tuple, middles: tuple, track: int) -> list:
+    """The moves of one node of :func:`_product` as (label, target pairs),
+    in the order it finds them; label # marks a move that writes only #."""
+    moves: list = []
+    p, q = node
+    from_p = left.get(p)
+    from_q = right.get(q)
+    if from_p is None or from_q is None:
+        return moves
+    for b in middles:
+        rights = from_q.get(b)
+        if rights is None:
+            continue
+        for a, p_dsts in from_p.get(b, ()):
+            for c, q_dsts in rights:
+                if track == 2:
+                    label = c
+                elif track == 1:
+                    label = a
+                else:
+                    label = PAD if a == c == PAD else PairSymbol(a, c)
+                moves.append((label, [(p2, q2) for p2 in p_dsts for q2 in q_dsts]))
+    return moves
+
+
+def _product(kind, alphabet, left: dict, right: dict, start: list, middles: tuple, track: int):
     """One breadth-first pass over the state pairs reachable from ``start``,
     both sides reading the same middle symbol, or # once the middle word
     has ended; each side is indexed by :func:`_moves_by_middle` or
@@ -66,8 +95,8 @@ def _product(left: dict, right: dict, start: list, middles: tuple, track: int):
     (track 1) or the right side's (track 2).  A move that writes only #,
     on the kept track or on both for track 0, adds nothing the result
     reads: it only decides acceptance, which is one closure back from
-    (DONE, DONE) over such moves.  Returns the pairs in the order found,
-    the labelled moves and the accepting pairs.
+    (DONE, DONE) over such moves.  Returns the trimmed automaton of
+    ``kind`` over ``alphabet`` whose states are the pairs in the order found.
     """
     # ``order`` grows while it is walked, which makes this breadth-first
     order = list(start)
@@ -75,35 +104,34 @@ def _product(left: dict, right: dict, start: list, middles: tuple, track: int):
     transitions: dict = {}
     silent_back: dict = {}
     for node in order:
-        p, q = node
-        from_p = left.get(p)
-        from_q = right.get(q)
-        if from_p is None or from_q is None:
-            continue
-        for b in middles:
-            rights = from_q.get(b)
-            if rights is None:
-                continue
-            for a, p_dsts in from_p.get(b, ()):
-                for c, q_dsts in rights:
-                    targets = [(p2, q2) for p2 in p_dsts for q2 in q_dsts]
-                    if track == 2:
-                        label = c
-                    elif track == 1:
-                        label = a
-                    else:
-                        label = PAD if a == c == PAD else PairSymbol(a, c)
-                    if label == PAD:
-                        for target in targets:
-                            silent_back.setdefault(target, []).append(node)
-                    else:
-                        transitions.setdefault((node, label), []).extend(targets)
-                    for target in targets:
-                        if target not in seen:
-                            seen.add(target)
-                            order.append(target)
+        for label, targets in _node_moves(left, right, node, middles, track):
+            if label == PAD:
+                for target in targets:
+                    silent_back.setdefault(target, []).append(node)
+            else:
+                transitions.setdefault((node, label), []).extend(targets)
+            for target in targets:
+                if target not in seen:
+                    seen.add(target)
+                    order.append(target)
     final = graph.closure([(_DONE, _DONE)], lambda n: silent_back.get(n, ()))
-    return order, transitions, final & seen
+    return kind._trusted(alphabet, order, transitions, start, final & seen).trim()
+
+
+def _lazy_product(alphabet, left, right, start, middles, track, read=None) -> LazyNfa:
+    """The language of :func:`_product`, explored only where a search steps
+    it; ``read`` maps a label to the symbol read, or to None to drop it."""
+
+    def moves(node) -> dict:
+        found: dict = {}
+        for label, targets in _node_moves(left, right, node, middles, track):
+            if read is not None and label != PAD:
+                label = read(label)
+            if label is not None:
+                found.setdefault(label, []).extend(targets)
+        return found
+
+    return LazyNfa(alphabet, start, moves, PAD, (_DONE, _DONE))
 
 
 def _pair_alphabet(top: Alphabet, bottom: Alphabet, *known: PairAlphabet) -> PairAlphabet:
@@ -228,20 +256,25 @@ class Transducer(Nfa):
         one closure back from (DONE, DONE) over them.  At most
         (l1 + 1) * (l2 + 1) states before trimming.
         """
+        alphabet = _pair_alphabet(self.top, other.bottom, self.alphabet, other.alphabet)
+        return _product(Transducer, alphabet, *self._composition(other))
+
+    def _composition(self, other: "Transducer") -> tuple:
+        """The operands of :func:`_product` for :meth:`compose`."""
         if self.bottom != other.top:
             raise AlphabetMismatch(
                 "composition needs the first bottom alphabet to equal the second top"
             )
-        start = _start(self, other)
-        order, transitions, final = _product(
-            _moves_by_middle(self, 1),
-            _moves_by_middle(other, 0),
-            start,
-            self.bottom.symbols + (PAD,),
-            0,
-        )
-        alphabet = _pair_alphabet(self.top, other.bottom, self.alphabet, other.alphabet)
-        return Transducer._trusted(alphabet, order, transitions, start, final).trim()
+        start, middles = _start(self, other), self.bottom.symbols + (PAD,)
+        return _moves_by_middle(self, 1), _moves_by_middle(other, 0), start, middles, 0
+
+    def lazy_round_trip(self, other: "Transducer") -> LazyNfa:
+        """{x : some y with (x, y) in self and (y, x) in other}, explored
+        only where a search steps it: the (x, x) moves of the product of
+        :meth:`compose`, whose (#, #) moves, (#, b) of ``self`` against
+        (b, #) of ``other``, decide acceptance; both must be padding-valid."""
+        same = lambda label: label.top if label.top == label.bottom else None  # noqa: E731
+        return _lazy_product(self.top, *self._composition(other), read=same)
 
     # -- images ------------------------------------------------------------------
 
@@ -254,15 +287,9 @@ class Transducer(Nfa):
         """
         if language.alphabet != self.top:
             raise AlphabetMismatch("language alphabet differs from the top track")
-        start = _start(language, self)
-        order, transitions, final = _product(
-            _moves_of_language(language),
-            _moves_by_middle(self, 0),
-            start,
-            self.top.symbols + (PAD,),
-            2,
-        )
-        return Nfa._trusted(self.bottom, order, transitions, start, final).trim()
+        left, right = _moves_of_language(language), _moves_by_middle(self, 0)
+        start, middles = _start(language, self), self.top.symbols + (PAD,)
+        return _product(Nfa, self.bottom, left, right, start, middles, 2)
 
     def pre_image(self, language: Nfa) -> Nfa:
         """{x : some y in language with (x, y) in the relation}.
@@ -271,17 +298,22 @@ class Transducer(Nfa):
         built by one product that reads the bottom track and writes the
         top one.
         """
+        return _product(Nfa, self.top, *self._pre_image(language))
+
+    def lazy_pre_image(self, language: Nfa) -> LazyNfa:
+        """The untrimmed language of :meth:`pre_image`, explored lazily."""
+        return _lazy_product(self.top, *self._pre_image(language))
+
+    def lazy_domain(self) -> LazyNfa:
+        """The lazy pre-image of all words: the top track's domain."""
+        return self.lazy_pre_image(universal_automaton(self.bottom))
+
+    def _pre_image(self, language: Nfa) -> tuple:
+        """The operands of :func:`_product` for :meth:`pre_image`."""
         if language.alphabet != self.bottom:
             raise AlphabetMismatch("language alphabet differs from the bottom track")
-        start = _start(self, language)
-        order, transitions, final = _product(
-            _moves_by_middle(self, 1),
-            _moves_of_language(language),
-            start,
-            self.bottom.symbols + (PAD,),
-            1,
-        )
-        return Nfa._trusted(self.top, order, transitions, start, final).trim()
+        index, middles = _moves_of_language(language), self.bottom.symbols + (PAD,)
+        return _moves_by_middle(self, 1), index, _start(self, language), middles, 1
 
 
 # -- stock transducers -------------------------------------------------------------

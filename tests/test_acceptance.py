@@ -129,8 +129,8 @@ def test_criterion_1_constructor_state_bounds():
             ("intersect", n1.intersect(n2), len(n1.states) * len(n2.states)),
             ("complement", n1.complement(), 2 ** len(n1.states)),
             ("compose", t1.compose(t2), len(t1.states) * len(t2.states)),
-            ("post-image", t2.post_image(n1), len(n1.states) * len(t2.states)),
-            ("pre-image", t2.pre_image(n2), len(n2.states) * len(t2.states)),
+            ("post-image", t2.post_image(n1), (len(n1.states) + 1) * len(t2.states)),
+            ("pre-image", t2.pre_image(n2), (len(n2.states) + 1) * len(t2.states)),
             ("inverse", t1.inverse(), len(t1.states)),
             ("project-1", t1.project(1), len(t1.states)),
             ("project-2", t2.project(2), len(t2.states)),

@@ -26,6 +26,7 @@ from rmc import (
     check_egf_clique,
     check_egf_loop,
     diagonal,
+    graph,
     identity_on,
     length_automaton,
     load_automaton,
@@ -35,7 +36,7 @@ from rmc import (
     universal_automaton,
 )
 from rmc.oracle import build_slice, oracle_check
-from rmc.procedures import _replay
+from rmc.procedures import _locate, _replay
 from support import (
     A,
     AB,
@@ -225,6 +226,48 @@ def test_ef_witness_falls_back_to_a_pair_when_reach_claims_too_much():
     assert verdict.witness == Witness("pair", (("a",), ("c",)))
     stepwise = check_ef(rts, words_nfa(ABC, {("b",)}))
     assert stepwise.witness == Witness("path", (("a",), ("b",)))
+
+
+def test_locate_gives_the_slice_search_path():
+    """Stopping at the target gives the path a breadth-first search of the
+    whole reachable slice gives, for every reachable configuration of
+    lengths 1 to 4 of the first 100 criterion-2 systems and lengths 1 to 5
+    of the shipped length-preserving bundles."""
+    rng = random.Random(2024)
+    systems = [(random_lp_rts(rng)[0], 4) for _ in range(100)]
+    for bundle in sorted(DATA.iterdir()):
+        rts = load_rts_bundle(bundle / "bundle.rts")
+        if rts.length_preserving:
+            systems.append((rts, 5))
+    located = 0
+    for rts, longest in systems:
+        for n in range(1, longest + 1):
+            slice_ = build_slice(rts, n, reachable=True)
+            _order, parents = graph.bfs(slice_.edges, slice_.initial)
+            for index, target in enumerate(slice_.configurations):
+                path = [slice_.configurations[i] for i in graph.path_to(parents, index)]
+                assert _locate(rts, target) == Witness("path", tuple(path))
+                located += 1
+    assert located > 1000
+
+
+def test_locate_finds_a_path_inside_a_slice_over_the_cap():
+    # every word of length 17 over {a, b} is reachable from a^17 by
+    # flipping one letter a step, 2^17 configurations in all, more than
+    # the witness cap of 65536, so a witness that needs the whole slice is
+    # a pair; the target is one step away
+    flip = mk_t(
+        AB,
+        AB,
+        [("s", "a/a", "s"), ("s", "b/b", "s"), ("s", "a/b", "t"), ("s", "b/a", "t"),
+         ("t", "a/a", "t"), ("t", "b/b", "t")],
+        ["s"],
+        ["t"],
+    )
+    start = ("a",) * 17
+    rts = Rts(words_nfa(AB, {start}), flip)
+    target = ("b",) + start[1:]
+    assert _locate(rts, target) == Witness("path", (start, target))
 
 
 def test_run_check_dispatch_and_errors():

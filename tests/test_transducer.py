@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from rmc import (
     Nfa,
     PaddingViolation,
+    StateCapExceeded,
     Transducer,
+    constrained_search,
     convolve,
     diagonal,
     identity,
@@ -224,7 +226,7 @@ def test_post_and_pre_image():
         inside = {w for w in all_words(AB, 3) if lang.accepts(w)}
         post = t.post_image(lang)
         pre = t.pre_image(lang)
-        assert len(post.states) <= len(lang.states) * len(t.states)
+        assert len(post.states) <= (len(lang.states) + 1) * len(t.states)
         post_words = {y for (x, y) in rel if x in inside}
         pre_words = {x for (x, y) in rel if y in inside}
         got_post = {w for w in all_words(AB, 3) if post.accepts(w)}
@@ -389,3 +391,90 @@ def test_convolve_unconvolve_roundtrip():
         conv = convolve(x, y)
         assert len(conv) == max(len(x), len(y))
         assert unconvolve(conv) == (x, y)
+
+
+def _lazy_cases(rng, count):
+    """Seeded relation pairs over one alphabet: padded ones, which may grow
+    or shrink words, and letter-to-letter ones."""
+    for i in range(count):
+        alphabet = (A, AB, ABC)[i % 3]
+        if i % 2:
+            yield random_padded_transducer(rng, alphabet, alphabet), random_padded_transducer(
+                rng, alphabet, alphabet
+            )
+        else:
+            yield random_lp_transducer(rng, alphabet), random_lp_transducer(rng, alphabet)
+
+
+def _bundle_cases():
+    """Every shipped bundle's relations and languages over its alphabet."""
+    for bundle in sorted(DATA.iterdir()):
+        rts = load_rts_bundle(bundle / "bundle.rts")
+        relations = [t for t in (rts.delta, rts.reach, rts.preach) if t is not None]
+        languages = [load_automaton(path) for path in sorted(bundle.glob("*.nfa"))]
+        yield bundle.name, relations, languages
+
+
+def _same_words(name, lazy, reference, alphabet, up_to=5):
+    for word in all_words(alphabet, up_to):
+        assert lazy.accepts(word) == reference.accepts(word), (name, word)
+
+
+def test_lazy_sides_accept_what_the_built_automata_accept():
+    """The lazy pre-image, domain and round trip accept, word for word up
+    to length 5, what ``pre_image``, ``project(1)`` and the projected
+    ``intersect`` with the inverse accept, on padded and growing
+    relations as well as letter-to-letter ones."""
+    rng = random.Random(71)
+    cases = [
+        (f"random {i}", [t, r], [random_nfa(rng, t.top, max_states=4)])
+        for i, (t, r) in enumerate(_lazy_cases(rng, 60))
+    ]
+    for name, relations, languages in cases + list(_bundle_cases()):
+        alphabet = relations[0].top
+        for t in relations:
+            everything = universal_automaton(alphabet)
+            _same_words(name, t.lazy_pre_image(everything), t.project(1), alphabet)
+            for language in languages:
+                _same_words(name, t.lazy_pre_image(language), t.pre_image(language), alphabet)
+            for r in relations:
+                both = t.intersect(r.inverse()).project(1)
+                _same_words(name, t.lazy_round_trip(r), both, alphabet)
+
+
+def _subset_count(side, alphabet) -> int:
+    """The subsets of ``side`` reachable by the subset construction."""
+    seen = {side.initial}
+    todo = [side.initial]
+    while todo:
+        subset = todo.pop()
+        for sym in alphabet.symbols:
+            stepped = frozenset(r for q in subset for r in side.moves[q].get(sym, ()))
+            if stepped not in seen:
+                seen.add(stepped)
+                todo.append(stepped)
+    return len(seen)
+
+
+def test_lazy_sides_count_their_subsets_against_the_state_cap(monkeypatch):
+    """A search that steps a lazy side through every subset passes at a
+    cap of that many subsets and raises one below it."""
+    rng = random.Random(73)
+    checked = 0
+    never = lambda pos_final, hits: False  # noqa: E731
+    for t, r in _lazy_cases(rng, 30):
+        everything = universal_automaton(t.top)
+        for side in (
+            t.lazy_pre_image(random_nfa(rng, t.top, max_states=4)),
+            t.lazy_round_trip(r),
+        ):
+            count = _subset_count(side, t.top)
+            if count < 2:
+                continue
+            checked += 1
+            monkeypatch.setenv("RMC_STATE_CAP", str(count))
+            assert constrained_search(everything, [side], never) is None
+            monkeypatch.setenv("RMC_STATE_CAP", str(count - 1))
+            with pytest.raises(StateCapExceeded):
+                constrained_search(everything, [side], never)
+    assert checked > 20
