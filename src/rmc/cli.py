@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from pathlib import Path
@@ -349,10 +350,18 @@ def _needs(args) -> tuple[str, ...]:
     return ()
 
 
+# parsing reads the tree and changes nothing in it, so one serves every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code.
+
+    The argument parser is built once per process, on the first call, and
+    reused by every later one.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_:
         return 0 if exit_.code == 0 else 3
     started = time.monotonic()

@@ -312,6 +312,42 @@ class Nfa:
             level = nxt
         return out[:limit], len(out) > limit
 
+    def words_of_length(self, length: int, limit: int) -> list | None:
+        """The accepted words of ``length`` in alphabet order, or None when
+        there are more than ``limit`` of them.
+
+        They are counted first, so a length over the limit is refused
+        before any is listed.  The listing walks the subsets depth first,
+        each pruned to the states that can still accept in exactly the
+        steps left, so every branch it takes ends in a word.
+        """
+        if self.count_words(length) > limit:
+            return None
+        back: dict = {}
+        for (q, _sym), dsts in self.transitions.items():
+            for r in dsts:
+                back.setdefault(r, set()).add(q)
+        # live[k]: the states that accept some word of exactly k symbols
+        live = [self.final]
+        for _ in range(length):
+            live.append(frozenset(q for r in live[-1] for q in back.get(r, ())))
+        out: list = []
+        start = self.initial & live[length]
+        stack = [((), start)] if start else []
+        backwards = self.alphabet.symbols[::-1]
+        while stack:
+            word, subset = stack.pop()
+            left = length - len(word)
+            if not left:
+                out.append(word)
+                continue
+            # pushed last to first, so the first symbol is walked first
+            for sym in backwards:
+                stepped = self.step(subset, sym) & live[left - 1]
+                if stepped:
+                    stack.append((word + (sym,), stepped))
+        return out
+
     def count_words(self, length: int) -> int:
         """The number of accepted words of ``length``.
 

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import graph
 from .alphabet import Alphabet, Word, convolve
 from .errors import CapExceeded, NotLengthPreserving, SuccessorCapExceeded
-from .nfa import Nfa, length_automaton
+from .nfa import Nfa
 from .rts import Rts
 from .transducer import Transducer
 from .verdict import Witness
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PROPERTIES = ("EF", "EGF", "AF", "AGF", "ASF", "ASGF", "AST", "DF")
 
@@ -67,14 +68,9 @@ def build_slice(
     alphabet = rts.alphabet
     over_cap = f"slice would hold more than the cap of {config_cap} reachable configurations"
     if reachable:
-        # counted first: listing them keeps every live prefix of a level, and
-        # there are as many of those as initial words
-        if rts.initial.count_words(length) > config_cap:
+        roots = starts = rts.initial.words_of_length(length, config_cap)
+        if starts is None:
             raise CapExceeded(over_cap)
-        starts, _truncated = rts.initial.intersect(
-            length_automaton(alphabet, length)
-        ).enumerate_words(config_cap)
-        roots = starts
     else:
         total = len(alphabet) ** length
         if total > config_cap:
@@ -371,6 +367,8 @@ class SimulationStats:
 
 def _fit(array: np.ndarray, size: int) -> np.ndarray:
     """``array``, doubled until it holds ``size`` entries; new entries are -1."""
+    import numpy as np
+
     while len(array) < size:
         array = np.concatenate([array, np.full_like(array, -1)])
     return array
@@ -388,8 +386,11 @@ def simulate(
     successors listed once, when a run first steps from them; more than
     ``Rts.DEFAULT_SUCCESSOR_CAP`` of them is an error rather than a
     silently biased sample.  A fixed seed reproduces the statistics
-    exactly.
+    exactly.  numpy is imported here, not with the module, so that only
+    the walks load it.
     """
+    import numpy as np
+
     if config.runs < 1 or config.max_steps < 0:
         raise ValueError(
             f"need runs >= 1 and max_steps >= 0, got {config.runs} and {config.max_steps}"

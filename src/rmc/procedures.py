@@ -63,10 +63,10 @@ def _step_path(rts: Rts, target: Word) -> tuple[Word, ...] | None:
     """Breadth-first from the initial words of the target's length through
     successors, each in alphabet order; None if a cap comes first."""
     cap = _WITNESS_SLICE_CAP
-    if rts.initial.count_words(len(target)) > cap:
+    starts = rts.initial.words_of_length(len(target), cap)
+    if starts is None:
         return None
-    same_length = length_automaton(rts.alphabet, len(target))
-    parents = dict.fromkeys(rts.initial.intersect(same_length).enumerate_words(cap)[0])
+    parents = dict.fromkeys(starts)
     # ``order`` grows while it is walked, which makes this breadth-first
     order = list(parents)
     for config in order:

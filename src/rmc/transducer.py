@@ -154,7 +154,8 @@ def _start(first: Nfa, second: Nfa) -> list:
 class Transducer(Nfa):
     """An :class:`Nfa` over the pair alphabet of two track alphabets."""
 
-    __slots__ = ()
+    # set once validate_padding has passed: a transducer never changes
+    __slots__ = ("_padding_valid",)
 
     def __init__(self, top: Alphabet, bottom: Alphabet, states, transitions, initial, final):
         super().__init__(PairAlphabet(top, bottom), states, transitions, initial, final)
@@ -185,8 +186,11 @@ class Transducer(Nfa):
 
         Tracks the set of trimmed states reachable after consuming a padded
         symbol on each track; any further transition with a real symbol on
-        that track is a violation.
+        that track is a violation.  A transducer that passed once, as each
+        of a bundle's does when its file is read, is not walked again.
         """
+        if getattr(self, "_padding_valid", False):
+            return
         trimmed = self.trim()
         for track in ("top", "bottom"):
             padded: dict = {}
@@ -202,6 +206,7 @@ class Transducer(Nfa):
                     raise PaddingViolation(
                         f"state {q!r} reads {sym} after {track}-track padding"
                     )
+        self._padding_valid = True
 
     # -- relation algebra ----------------------------------------------------------
 

@@ -1,6 +1,10 @@
 """End-to-end command line tests driven through ``rmc.cli.main``."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,31 @@ def test_simulate_deterministic(capsys):
     data = first
     assert data["stats"]["termination_frequency"] == 1.0
     assert data["stats"]["runs"] == 40
+
+
+_NUMPY_ON_DEMAND = """
+import sys
+import rmc, rmc.cli
+assert "numpy" not in sys.modules, "import rmc loaded numpy"
+assert rmc.cli.main(["check", "ef", "--rts", "toggle", "--goal", "done"]) == 0
+assert "numpy" not in sys.modules, "a check loaded numpy"
+argv = ["simulate", "--rts", "toggle", "--from", "a", "--runs", "5", "--steps", "3"]
+assert rmc.cli.main(argv) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_simulate_loads_numpy():
+    """In a fresh interpreter, since pytest's plugins may load numpy here."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_ON_DEMAND],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "termination frequency" in done.stdout
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "many"])

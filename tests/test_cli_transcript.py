@@ -22,6 +22,18 @@ def test_outputs_match_the_transcript():
     )
 
 
+def test_reversed_order_gives_the_same_entries():
+    """The parser is shared by every call in a process; replaying the
+    commands backwards shows that no call leaves state for the next."""
+    expected = read_entries(TRANSCRIPT.read_text(encoding="utf-8"))
+    changed = [
+        " ".join(argv)
+        for argv in reversed(commands())
+        if entry(argv) != expected[" ".join(argv)]
+    ]
+    assert not changed, f"{len(changed)} entries differ, the first: {changed[0]}"
+
+
 @pytest.mark.parametrize("cap", ["1", "2", "8"])
 def test_a_state_cap_never_makes_an_answer_an_error(monkeypatch, cap):
     """Each command that answers without a cap still answers (perhaps

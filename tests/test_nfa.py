@@ -2,9 +2,11 @@
 
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import rmc
 from rmc import (
     AlphabetMismatch,
     Nfa,
@@ -13,6 +15,7 @@ from rmc import (
     SymbolNotInAlphabet,
     empty_automaton,
     length_automaton,
+    load_automaton,
     universal_automaton,
     word_automaton,
 )
@@ -184,6 +187,23 @@ def test_count_words():
         for n in range(5):
             assert nfa.count_words(n) == sum(len(w) == n for w in accepted)
     assert universal_automaton(AB).count_words(40) == 2**40
+
+
+def test_words_of_length_lists_what_the_length_product_enumerates():
+    """The depth-first listing against the reference it replaced: the
+    product with the length-n automaton, enumerated breadth first."""
+    rng = random.Random(13)
+    drawn = [random_nfa(rng, rng.choice([AB, ABC]), max_states=6) for _ in range(100)]
+    data = Path(rmc.__file__).resolve().parent / "data"
+    shipped = [load_automaton(path) for path in sorted(data.glob("*/*.nfa"))]
+    assert shipped
+    for nfa, lengths in [(d, range(6)) for d in drawn] + [(s, range(7)) for s in shipped]:
+        for n in lengths:
+            count = nfa.count_words(n)
+            same_length = nfa.intersect(length_automaton(nfa.alphabet, n))
+            assert nfa.words_of_length(n, count) == same_length.enumerate_words(count)[0]
+            if count:
+                assert nfa.words_of_length(n, count - 1) is None
 
 
 def test_trim_preserves_language():
