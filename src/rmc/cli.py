@@ -4,8 +4,9 @@ Each verdict command returns a :class:`~rmc.report.Report`, which
 :func:`main` alone times and prints.  The options a property or mode
 needs come from tables and are checked before anything loads.  A cap
 reached anywhere, bundle validation included, answers Unknown and names
-the command and the cap.  ``algebra`` prints an automaton instead, and a
-cap there is an error.
+the command and the cap; an input error that needs no subset construction
+is still an error under any cap.  ``algebra`` prints an automaton instead,
+and a cap there is an error.
 
 Exit codes: 0 when the answer is Holds (or true) and for simulation
 statistics, 1 for Fails (or false), 2 for Unknown, and 3 for usage or
@@ -33,8 +34,14 @@ from .abstraction import (
     separates,
     validate_preach,
 )
-from .errors import CapExceeded, ParseError, RmcError
-from .formats import load_automaton, load_rts_bundle, save_automaton, serialize_automaton
+from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, ParseError, RmcError
+from .formats import (
+    load_automaton,
+    load_rts_bundle,
+    read_rts_bundle,
+    save_automaton,
+    serialize_automaton,
+)
 from .nfa import Nfa
 from .oracle import SimulationConfig, build_slice, dump_slice, oracle_check, simulate
 from .procedures import DEFAULT_BOUND, PROPERTIES, run_check
@@ -94,22 +101,59 @@ def _load_transducer(path: Path) -> Transducer:
     return auto
 
 
+# the options that name a language over the system's alphabet
+_LANGUAGES = ("goal", "pre_of_goal")
+
+
+def _check_inputs(args, command: str, rts: Rts, languages: dict) -> None:
+    """Raise the command's input errors that need no subset construction:
+    a start word or language over another alphabet, and a system that is
+    not length-preserving where the command slices it per length."""
+    if args.command == "simulate":
+        rts.alphabet.check_word(parse_word(args.start))
+    sliced = args.command == "oracle" or (
+        args.command == "check" and PROPERTIES[args.property].bounded
+    )
+    if sliced and not rts.length_preserving:
+        raise NotLengthPreserving(
+            f"{command} slices the system per word length, so it needs a "
+            "length-preserving system"
+        )
+    for option, language in languages.items():
+        if language.alphabet != rts.alphabet:
+            name = option.replace("_", "-")
+            raise AlphabetMismatch(f"{name} alphabet differs from the system alphabet")
+
+
 class _Loaded:
-    """A bundle plus the directory its goal names resolve against."""
+    """A validated bundle, the directory its file names resolve against,
+    and the languages the command names, by option.
 
-    def __init__(self, arg: str):
-        path = _resolve_bundle(arg)
-        self.rts: Rts = load_rts_bundle(path)
+    The command's inputs are checked (:func:`_check_inputs`) on the
+    validated bundle or, when validation stops at a state cap, on the
+    bundle as read, so a cap never hides an input error.
+    """
+
+    def __init__(self, args, command: str):
+        path = _resolve_bundle(args.rts)
         self.directory = path.parent
-
-    def language(self, name: str) -> Nfa:
-        return _load_language(_resolve_language(name, self.directory))
+        self.languages = {
+            option: _load_language(_resolve_language(name, self.directory))
+            for option in _LANGUAGES
+            if (name := getattr(args, option, None))
+        }
+        self.goal = self.languages.get("goal")
+        try:
+            self.rts: Rts = load_rts_bundle(path)
+        except CapExceeded:
+            _check_inputs(args, command, read_rts_bundle(path), self.languages)
+            raise
+        _check_inputs(args, command, self.rts, self.languages)
 
 
 def _cmd_check(args, command: str) -> Report:
-    loaded = _Loaded(args.rts)
-    goal = loaded.language(args.goal) if args.goal else None
-    verdict = run_check(loaded.rts, args.property, goal=goal, bound=args.max_length)
+    loaded = _Loaded(args, command)
+    verdict = run_check(loaded.rts, args.property, goal=loaded.goal, bound=args.max_length)
     return report_mod.from_verdict(command, verdict)
 
 
@@ -125,19 +169,18 @@ _ABSTRACT = {
 
 
 def _cmd_abstract(args, command: str) -> Report:
-    loaded = _Loaded(args.rts)
+    loaded = _Loaded(args, command)
     if args.mode == "validate":
         validation = validate_preach(loaded.rts)
         outcome = Outcome.HOLDS if validation.ok else Outcome.FAILS
         return Report(command=command, outcome=outcome, checks=validation.checks)
     needs, check = _ABSTRACT[args.mode]
-    languages = (loaded.language(getattr(args, option)) for option in needs)
+    languages = (loaded.languages[option] for option in needs)
     return report_mod.from_verdict(command, check(loaded.rts, *languages))
 
 
 def _cmd_oracle(args, command: str) -> Report:
-    loaded = _Loaded(args.rts)
-    goal = loaded.language(args.goal) if args.goal else None
+    loaded = _Loaded(args, command)
     try:
         # a dump shows the whole slice; the answer only needs its reachable part
         slice_ = build_slice(loaded.rts, args.length, reachable=not args.dump_slice)
@@ -146,7 +189,7 @@ def _cmd_oracle(args, command: str) -> Report:
     else:
         if args.dump_slice:
             Path(args.dump_slice).write_text(dump_slice(slice_), encoding="utf-8")
-        answer, witness = oracle_check(slice_, PROPERTIES[args.property].oracle, goal)
+        answer, witness = oracle_check(slice_, PROPERTIES[args.property].oracle, loaded.goal)
         verdict = Verdict(
             Outcome.HOLDS if answer else Outcome.FAILS,
             witness=witness,
@@ -156,10 +199,9 @@ def _cmd_oracle(args, command: str) -> Report:
 
 
 def _cmd_simulate(args, command: str) -> Report:
-    loaded = _Loaded(args.rts)
-    goal = loaded.language(args.goal) if args.goal else None
+    loaded = _Loaded(args, command)
     config = SimulationConfig(runs=args.runs, max_steps=args.steps, seed=args.seed)
-    stats = simulate(loaded.rts, parse_word(args.start), config, goal=goal)
+    stats = simulate(loaded.rts, parse_word(args.start), config, goal=loaded.goal)
     return Report(command=command, outcome=None, stats=stats)
 
 
@@ -219,7 +261,7 @@ _CONSTRAINT = {
 
 
 def _cmd_constraint(args, command: str) -> Report:
-    loaded = _Loaded(args.rts) if args.rts else None
+    loaded = _Loaded(args, command) if args.rts else None
     bundle_dir = loaded.directory if loaded else None
     interp = Interpretation(
         _load_transducer(_resolve_language(args.interp, bundle_dir))

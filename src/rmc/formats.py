@@ -266,7 +266,17 @@ _BUNDLE_KEYS = ("initial", "delta", "reach", "preach")
 
 
 def parse_rts_bundle(text: str, base_dir: str | Path) -> Rts:
-    """Parse a bundle description, loading member files from ``base_dir``."""
+    """Parse a bundle description, loading member files from ``base_dir``,
+    and validate the system (:meth:`Rts.validate`)."""
+    rts = _parse_system(text, base_dir)
+    report = rts.validate()
+    if not report.ok:
+        raise BundleValidationError(report)
+    return rts
+
+
+def _parse_system(text: str, base_dir: str | Path) -> Rts:
+    """The system a bundle description names, not yet validated."""
     base = Path(base_dir)
     lines = _Lines(text)
     if lines.done():
@@ -318,18 +328,22 @@ def parse_rts_bundle(text: str, base_dir: str | Path) -> Rts:
             raise ParseError(f"{key}: tracks differ from the bundle alphabet")
         return got
 
-    rts = Rts(
+    return Rts(
         expect_nfa("initial"),
         expect_transducer("delta"),
         reach=expect_transducer("reach") if "reach" in loaded else None,
         preach=expect_transducer("preach") if "preach" in loaded else None,
     )
-    report = rts.validate()
-    if not report.ok:
-        raise BundleValidationError(report)
-    return rts
 
 
 def load_rts_bundle(path: str | Path) -> Rts:
     p = Path(path)
     return parse_rts_bundle(p.read_text(encoding="utf-8"), p.parent)
+
+
+def read_rts_bundle(path: str | Path) -> Rts:
+    """The system a bundle file names, parsed but not validated: for a
+    caller that must check its own inputs even when validation, whose
+    inclusion checks build subsets, stops at a state cap."""
+    p = Path(path)
+    return _parse_system(p.read_text(encoding="utf-8"), p.parent)

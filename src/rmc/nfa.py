@@ -1,6 +1,8 @@
 """Nondeterministic finite automata with deterministic witness reporting.
 
 All operations are pure: they build and return new automata, never mutate.
+An automaton is immutable after construction, which lets a transducer keep
+what it derives from itself alone (:class:`~rmc.transducer.Transducer`).
 Reported witnesses (shortest accepted word, shortest inclusion
 counterexample) are always of minimal length with ties broken by alphabet
 order, so repeated runs produce identical output.

@@ -436,12 +436,15 @@ class Property:
 
     ``oracle`` names the :func:`~rmc.oracle.oracle_check` decider that
     answers the same question on one slice, or is None for a single route
-    of a check.  ``run(rts, goal, bound)`` runs the check.
+    of a check.  ``run(rts, goal, bound)`` runs the check.  ``bounded``
+    marks a check made per length up to the bound, which needs a
+    length-preserving system.
     """
 
     needs_goal: bool
     oracle: str | None
     run: Callable[[Rts, Nfa | None, int], Verdict]
+    bounded: bool = False
 
 
 # The entries call the checks through their module-level names, so a
@@ -451,9 +454,15 @@ PROPERTIES: dict[str, Property] = {
     "egf": Property(True, "EGF", lambda rts, goal, bound: check_egf(rts, goal)),
     "egf-loop": Property(True, None, lambda rts, goal, bound: check_egf_loop(rts, goal)),
     "egf-clique": Property(True, None, lambda rts, goal, bound: check_egf_clique(rts, goal)),
-    "af": Property(True, "AF", lambda rts, goal, bound: check_af_bounded(rts, goal, bound)),
-    "agf": Property(True, "AGF", lambda rts, goal, bound: check_agf_bounded(rts, goal, bound)),
-    "as-f": Property(True, "ASF", lambda rts, goal, bound: check_as_f_bounded(rts, goal, bound)),
+    "af": Property(
+        True, "AF", lambda rts, goal, bound: check_af_bounded(rts, goal, bound), bounded=True
+    ),
+    "agf": Property(
+        True, "AGF", lambda rts, goal, bound: check_agf_bounded(rts, goal, bound), bounded=True
+    ),
+    "as-f": Property(
+        True, "ASF", lambda rts, goal, bound: check_as_f_bounded(rts, goal, bound), bounded=True
+    ),
     "as-gf": Property(True, "ASGF", lambda rts, goal, bound: check_as_gf(rts, goal)),
     "as-term": Property(False, "AST", lambda rts, goal, bound: check_as_termination(rts)),
     "deadlock-free": Property(False, "DF", lambda rts, goal, bound: check_deadlock_freedom(rts)),

@@ -69,6 +69,34 @@ def _advance(level, moves: dict) -> dict:
     return nxt
 
 
+def _successor_index(delta: Transducer) -> tuple:
+    """The trimmed step transducer for :meth:`Rts.successors`: a map from
+    top symbol (# included) and state to ``(bottom, targets)`` moves, where
+    ``bottom`` is a symbol index or None for padding, and the initial and
+    final states."""
+    delta = delta.trim()
+    # (#, b) moves keep only targets that can still accept by such moves,
+    # so endless growth always meets the cap, even on a delta that is not
+    # padding-valid
+    back: dict = {}
+    for (q, sym), dsts in delta.transitions.items():
+        if sym.top == PAD:
+            for r in dsts:
+                back.setdefault(r, []).append(q)
+    grows = graph.closure(delta.final, lambda r: back.get(r, ()))
+    moves: dict = {}
+    for (q, sym), dsts in delta.transitions.items():
+        b = None if sym.bottom == PAD else delta.bottom.index(sym.bottom)
+        if sym.top == PAD:
+            dsts = tuple(r for r in dsts if r in grows)
+        if dsts:
+            moves.setdefault(sym.top, {}).setdefault(q, []).append((b, dsts))
+    for by_state in moves.values():
+        for q, found in by_state.items():
+            by_state[q] = tuple(found)
+    return moves, frozenset(delta.initial), delta.final
+
+
 class Rts:
     """Initial language, step transducer, optional reachability relations."""
 
@@ -92,8 +120,7 @@ class Rts:
         self.delta = delta
         self.reach = reach
         self.preach = preach
-        # a trim can show padded moves dead; without any, none is needed
-        self.length_preserving = delta.is_letter_to_letter() or delta.is_length_preserving()
+        self.length_preserving = delta.is_length_preserving()
         self._cache: dict = {}
 
     @property
@@ -136,7 +163,8 @@ class Rts:
         """
         cap = self.DEFAULT_SUCCESSOR_CAP if cap is None else cap
         self.alphabet.check_word(config)
-        moves, start, final = self._step_index()
+        # derived from delta alone, so kept on it like its product indexes
+        moves, start, final = self.delta._derive("successors", lambda: _successor_index(self.delta))
         # prefixes are tuples of symbol indices, so they sort in alphabet order
         level = {(): start}
         for a in config:
@@ -154,33 +182,6 @@ class Rts:
                 found.extend(prefix for prefix, states in longer if states & final)
         symbol = self.alphabet.symbols.__getitem__
         return tuple(tuple(map(symbol, p)) for p in found[:cap]), len(found) > cap
-
-    def _step_index(self):
-        """The trimmed step transducer for :meth:`successors`: a map from
-        top symbol (# included) and state to ``(bottom, targets)`` moves,
-        where ``bottom`` is a symbol index or None for padding, and the
-        initial and final states."""
-        key = "step"
-        if key not in self._cache:
-            delta = self.delta.trim()
-            # (#, b) moves keep only targets that can still accept by such
-            # moves, so endless growth always meets the cap, even on a
-            # delta that is not padding-valid
-            back: dict = {}
-            for (q, sym), dsts in delta.transitions.items():
-                if sym.top == PAD:
-                    for r in dsts:
-                        back.setdefault(r, []).append(q)
-            grows = graph.closure(delta.final, lambda r: back.get(r, ()))
-            moves: dict = {}
-            for (q, sym), dsts in delta.transitions.items():
-                b = None if sym.bottom == PAD else self.alphabet.index(sym.bottom)
-                if sym.top == PAD:
-                    dsts = tuple(r for r in dsts if r in grows)
-                if dsts:
-                    moves.setdefault(sym.top, {}).setdefault(q, []).append((b, dsts))
-            self._cache[key] = (moves, frozenset(delta.initial), delta.final)
-        return self._cache[key]
 
     def validate(self) -> ValidationReport:
         """Necessary structural checks; cannot prove a reach relation exact.

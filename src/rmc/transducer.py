@@ -18,6 +18,9 @@ padding-valid operands, which loading checks.
 Pre-images and round trips also come lazily, for a search.  Built or
 lazy, a product moves by :func:`_node_moves` and a pair accepts when moves
 writing only # lead it to (DONE, DONE): padding is defined once for both.
+Each transducer keeps its index for each track it is read by, so the
+products of one check with the same ``reach`` and ``delta`` index them once;
+a language operand is indexed afresh for each product.
 """
 
 from __future__ import annotations
@@ -31,32 +34,52 @@ from .nfa import LazyNfa, Nfa, universal_automaton
 # object, so it equals no state of a caller's transducer
 _DONE = object()
 
+# the (#, #) move to DONE that every final state and DONE itself make; one
+# tuple shared by every index
+_DONE_MOVE = ((PAD, (_DONE,)),)
+
 
 def _moves_by_middle(t: "Transducer", middle: int) -> dict:
     """Index ``t`` for a product that reads its track ``middle`` (0 for
     top, 1 for bottom) and writes the other: state to middle symbol (or #)
-    to a list of (outer symbol or #, targets), plus the DONE moves of
-    :func:`_with_done`."""
+    to a tuple of (outer symbol or #, targets), in transition order, plus
+    the DONE moves of :func:`_with_done`.
+
+    The index is built on first use and kept on ``t``, which never changes
+    after construction, so every product that reads ``t`` by that track
+    shares it; products only read it.
+    """
+    return t._derive(middle, lambda: _index_by_middle(t, middle))
+
+
+def _index_by_middle(t: "Transducer", middle: int) -> dict:
+    """A fresh build of the index :func:`_moves_by_middle` keeps."""
     outer = 1 - middle
     index: dict = {}
     for (q, sym), dsts in t.transitions.items():
         index.setdefault(q, {}).setdefault(sym[middle], []).append((sym[outer], dsts))
+    for moves in index.values():
+        for b, found in moves.items():
+            moves[b] = tuple(found)
     return _with_done(index, t.final)
 
 
 def _moves_of_language(language: Nfa) -> dict:
     """Index a word language as :func:`_moves_by_middle` indexes its
-    identity relation: each move writes the symbol it reads."""
+    identity relation: each move writes the symbol it reads.  Built for
+    each product: a language keeps nothing."""
     index: dict = {}
     for (q, sym), dsts in language.transitions.items():
-        index.setdefault(q, {})[sym] = [(sym, dsts)]
+        index.setdefault(q, {})[sym] = ((sym, dsts),)
     return _with_done(index, language.final)
 
 
 def _with_done(index: dict, final) -> dict:
-    """Add a (#, #) move to DONE from every final state and from DONE itself."""
+    """Add the (#, #) move to DONE to every final state and to DONE itself."""
     for q in (*final, _DONE):
-        index.setdefault(q, {}).setdefault(PAD, []).append((PAD, (_DONE,)))
+        moves = index.setdefault(q, {})
+        found = moves.get(PAD)
+        moves[PAD] = found + _DONE_MOVE if found else _DONE_MOVE
     return index
 
 
@@ -152,13 +175,31 @@ def _start(first: Nfa, second: Nfa) -> list:
 
 
 class Transducer(Nfa):
-    """An :class:`Nfa` over the pair alphabet of two track alphabets."""
+    """An :class:`Nfa` over the pair alphabet of two track alphabets.
 
-    # set once validate_padding has passed: a transducer never changes
-    __slots__ = ("_padding_valid",)
+    What is derived from a transducer alone (its product indexes, its
+    successor index and its padding and length checks) is kept on it,
+    filled on first use: like every automaton, a transducer never changes
+    after construction.
+    """
+
+    # key -> value derived from this transducer; unset until first use, so
+    # kernel results that are never indexed carry nothing
+    __slots__ = ("_derived",)
 
     def __init__(self, top: Alphabet, bottom: Alphabet, states, transitions, initial, final):
         super().__init__(PairAlphabet(top, bottom), states, transitions, initial, final)
+
+    def _derive(self, key, build):
+        """The value ``build()`` derives from this transducer, built once."""
+        try:
+            return self._derived[key]
+        except AttributeError:
+            self._derived = {}
+        except KeyError:
+            pass
+        value = self._derived[key] = build()
+        return value
 
     @property
     def top(self) -> Alphabet:
@@ -174,8 +215,12 @@ class Transducer(Nfa):
         return self.accepts(convolve(top_word, bottom_word))
 
     def is_length_preserving(self) -> bool:
-        """True when no trimmed transition carries padding."""
-        return self.trim().is_letter_to_letter()
+        """True when no trimmed transition carries padding.  Worked out
+        once per transducer; one that is letter-to-letter needs no trim."""
+        return self._derive(
+            "length-preserving",
+            lambda: self.is_letter_to_letter() or self.trim().is_letter_to_letter(),
+        )
 
     def is_letter_to_letter(self) -> bool:
         """True when no transition carries padding."""
@@ -186,11 +231,15 @@ class Transducer(Nfa):
 
         Tracks the set of trimmed states reachable after consuming a padded
         symbol on each track; any further transition with a real symbol on
-        that track is a violation.  A transducer that passed once, as each
-        of a bundle's does when its file is read, is not walked again.
+        that track is a violation.  A pass is kept with the transducer's
+        other derived data, so one that passed once, as each of a bundle's
+        does when its file is read, is not walked again; a violation is
+        kept nowhere and raises on every call.
         """
-        if getattr(self, "_padding_valid", False):
-            return
+        self._derive("padding-valid", self._walk_padding)
+
+    def _walk_padding(self) -> bool:
+        """The walk of :meth:`validate_padding`: raise or return True."""
         trimmed = self.trim()
         for track in ("top", "bottom"):
             padded: dict = {}
@@ -206,7 +255,7 @@ class Transducer(Nfa):
                     raise PaddingViolation(
                         f"state {q!r} reads {sym} after {track}-track padding"
                     )
-        self._padding_valid = True
+        return True
 
     # -- relation algebra ----------------------------------------------------------
 

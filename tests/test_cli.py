@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +262,23 @@ def test_only_simulate_loads_numpy():
     assert "termination frequency" in done.stdout
 
 
+def test_python_m_rmc_is_the_command_line(capsys):
+    """``python -m rmc`` exits and reports as ``main`` does."""
+    argv = ["check", "ef", "--rts", "toggle", "--goal", "done"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "rmc", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    code, out, _ = run(capsys, *argv)
+    assert done.returncode == code == 0, done.stderr
+    elapsed = re.compile(r"^elapsed: \d+ ms$", re.MULTILINE)
+    assert elapsed.sub("elapsed: _", done.stdout) == elapsed.sub("elapsed: _", out)
+    assert "VERDICT: HOLDS" in out
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "many"])
 def test_runs_are_checked_when_parsed(capsys, value):
     code, out, err = run(capsys, "simulate", "--rts", "toggle", "--from", "a", "--runs", value)
@@ -314,6 +332,26 @@ def test_simulate_over_successor_cap_is_unknown(tmp_path, capsys):
         "checks",
         "elapsed_ms",
     }
+
+
+def test_a_cap_never_hides_a_language_over_another_alphabet(tmp_path, capsys, monkeypatch):
+    """Checked before the bundle's validation, which a cap of 1 stops."""
+    other = tmp_path / "other.nfa"
+    other.write_text(AB_WORD.replace("a b", "x y").replace("q0 a q1", "q0 x q1"))
+    for argv, message in (
+        (("check", "ef", "--goal", str(other)), "goal alphabet"),
+        (("oracle", "--length", "2", "--property", "ef", "--goal", str(other)), "goal alphabet"),
+        (("simulate", "--from", "a", "--goal", str(other)), "goal alphabet"),
+        (("abstract", "safety", "--goal", str(other)), "goal alphabet"),
+        (("abstract", "as-liveness", "--goal", "done", "--pre-of-goal", str(other)),
+         "pre-of-goal alphabet"),
+    ):
+        argv = (*argv, "--rts", "toggle")
+        monkeypatch.delenv("RMC_STATE_CAP", raising=False)
+        uncapped = run(capsys, *argv)
+        assert uncapped[0] == 3 and f"{message} differs from the system alphabet" in uncapped[2]
+        monkeypatch.setenv("RMC_STATE_CAP", "1")
+        assert run(capsys, *argv) == uncapped, argv
 
 
 def test_simulate_goal_frequency(capsys):

@@ -21,6 +21,7 @@ from rmc import (
     load_automaton,
     load_rts_bundle,
     relation_difference_identity,
+    transducer,
     universal,
     universal_automaton,
     unconvolve,
@@ -478,3 +479,67 @@ def test_lazy_sides_count_their_subsets_against_the_state_cap(monkeypatch):
             with pytest.raises(StateCapExceeded):
                 constrained_search(everything, [side], never)
     assert checked > 20
+
+
+def _fresh(t):
+    """An equal transducer built anew, which holds no derived data yet."""
+    return Transducer(t.top, t.bottom, t.states, t.transitions, t.initial, t.final)
+
+
+def _shared_cases():
+    """Each relation of :func:`image_corpus` with its languages and a
+    partner over the same alphabet: the one before it, or itself."""
+    groups = []
+    for t, language in image_corpus():
+        if groups and groups[-1][0] is t:
+            groups[-1][1].append(language)
+        else:
+            groups.append((t, [language]))
+    for i, (t, languages) in enumerate(groups):
+        partner = groups[i - 1][0]
+        yield t, partner if partner.alphabet == t.alphabet else t, languages
+
+
+def _products(languages):
+    """Named products of a relation ``x`` with a partner ``y``, reading
+    both by either track, built and lazy."""
+    ops = [
+        ("compose", lambda x, y: x.compose(y)),
+        ("compose after", lambda x, y: y.compose(x)),
+        ("round trip", lambda x, y: x.lazy_round_trip(y)),
+        ("round trip after", lambda x, y: y.lazy_round_trip(x)),
+        ("domain", lambda x, y: x.lazy_domain()),
+    ]
+    for i, lang in enumerate(languages):
+        ops += [
+            (f"post {i}", lambda x, y, lang=lang: x.post_image(lang)),
+            (f"pre {i}", lambda x, y, lang=lang: x.pre_image(lang)),
+            (f"lazy pre {i}", lambda x, y, lang=lang: x.lazy_pre_image(lang)),
+        ]
+    return ops
+
+
+def test_shared_indexes_leak_nothing_between_products():
+    """A relation keeps its product index per track, so every product with
+    it reads the same one.  Run in a shuffled order on one object, each
+    product equals, state order included, the same product of fresh equal
+    copies (a lazy one accepts the same words up to length 4), and each
+    kept index still equals a fresh build afterwards."""
+    rng = random.Random(79)
+    relations = 0
+    for t, partner, languages in _shared_cases():
+        ops = _products(languages)
+        rng.shuffle(ops)
+        for name, op in ops:
+            shared, fresh = op(t, partner), op(_fresh(t), _fresh(partner))
+            if isinstance(shared, Nfa):
+                assert shared == fresh, name
+            else:
+                _same_words(name, shared, fresh, t.top, up_to=4)
+        for side in (t, partner):
+            for middle in (0, 1):
+                kept = side._derived[middle]
+                assert kept is transducer._moves_by_middle(side, middle)
+                assert kept == transducer._index_by_middle(_fresh(side), middle)
+        relations += 1
+    assert relations > 100
