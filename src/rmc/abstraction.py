@@ -162,7 +162,8 @@ def abstract_as_liveness(rts: Rts, goal: Nfa, pre_of_goal: Nfa) -> Verdict:
     potential = _potential(rts)
     domain = rts.delta.lazy_domain()
     found = _reachable_outside(
-        potential, [domain, pre_of_goal, potential.relation().lazy_pre_image(goal)]
+        potential.reachable_set(),
+        [domain, pre_of_goal, potential.relation().lazy_pre_image(goal)],
     )
     if found is not None:
         if domain.accepts(found) and pre_of_goal.accepts(found):

@@ -28,7 +28,33 @@ def _check_symbol(sym: str) -> None:
             raise ValueError(f"illegal character {ch!r} in alphabet symbol {sym!r}")
 
 
-class Alphabet:
+class _Symbols:
+    """Distinct symbols in order, as a container that knows each position.
+    A subclass's ``index`` raises SymbolNotInAlphabet for an unknown one."""
+
+    __slots__ = ("symbols", "_index")
+
+    def __init__(self, symbols: tuple):
+        self.symbols = symbols
+        self._index = {s: i for i, s in enumerate(symbols)}
+
+    def __contains__(self, sym: object) -> bool:
+        return sym in self._index
+
+    def __iter__(self) -> Iterator:
+        return iter(self.symbols)
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def check_word(self, word: Iterable) -> None:
+        """Raise SymbolNotInAlphabet unless every symbol of ``word`` is known."""
+        for sym in word:
+            if sym not in self._index:
+                self.index(sym)
+
+
+class Alphabet(_Symbols):
     """An ordered, duplicate-free set of symbol strings.
 
     The order is significant: it breaks ties when shortest witnesses are
@@ -36,7 +62,7 @@ class Alphabet:
     compare unequal.
     """
 
-    __slots__ = ("symbols", "_index")
+    __slots__ = ()
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -46,23 +72,13 @@ class Alphabet:
             _check_symbol(s)
         if len(set(syms)) != len(syms):
             raise ValueError(f"duplicate symbols in alphabet {syms!r}")
-        self.symbols = syms
-        self._index = {s: i for i, s in enumerate(syms)}
+        super().__init__(syms)
 
     def index(self, sym: str) -> int:
         try:
             return self._index[sym]
         except KeyError:
             raise SymbolNotInAlphabet(f"symbol {sym!r} not in alphabet {self.symbols!r}") from None
-
-    def __contains__(self, sym: object) -> bool:
-        return sym in self._index
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Alphabet) and self.symbols == other.symbols
@@ -72,14 +88,6 @@ class Alphabet:
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self.symbols)!r})"
-
-    def check_word(self, word: Word) -> None:
-        """Raise SymbolNotInAlphabet unless every symbol of ``word`` is known."""
-        for sym in word:
-            if sym not in self._index:
-                raise SymbolNotInAlphabet(
-                    f"symbol {sym!r} not in alphabet {self.symbols!r}"
-                )
 
 
 class PairSymbol(NamedTuple):
@@ -99,28 +107,23 @@ def pair(top: str, bottom: str) -> PairSymbol:
     return PairSymbol(top, bottom)
 
 
-class PairAlphabet:
+class PairAlphabet(_Symbols):
     """The full padded pair alphabet over a top and a bottom alphabet.
 
     Contains every (a, b), (a, #) and (#, b) for a in top and b in bottom.
     Ordering is by track indices with the padding slot last, which makes
-    witness tie-breaking deterministic for transducers too.
+    witness tie-breaking deterministic for transducers too.  It is not an
+    :class:`Alphabet`, so :func:`~rmc.transducer.identity_on` refuses it.
     """
 
-    __slots__ = ("top", "bottom", "symbols", "_index")
+    __slots__ = ("top", "bottom")
 
     def __init__(self, top: Alphabet, bottom: Alphabet):
         self.top = top
         self.bottom = bottom
-        syms: list[PairSymbol] = []
-        for a in top.symbols:
-            for b in bottom.symbols:
-                syms.append(PairSymbol(a, b))
-            syms.append(PairSymbol(a, PAD))
-        for b in bottom.symbols:
-            syms.append(PairSymbol(PAD, b))
-        self.symbols = tuple(syms)
-        self._index = {s: i for i, s in enumerate(syms)}
+        syms = [PairSymbol(a, b) for a in top.symbols for b in (*bottom.symbols, PAD)]
+        syms += [PairSymbol(PAD, b) for b in bottom.symbols]
+        super().__init__(tuple(syms))
 
     def index(self, sym: PairSymbol) -> int:
         try:
@@ -130,15 +133,6 @@ class PairAlphabet:
                 f"pair symbol {sym} not over alphabets "
                 f"{self.top.symbols!r} / {self.bottom.symbols!r}"
             ) from None
-
-    def __contains__(self, sym: object) -> bool:
-        return sym in self._index
-
-    def __iter__(self) -> Iterator[PairSymbol]:
-        return iter(self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -4,8 +4,9 @@ Each verdict command returns a :class:`~rmc.report.Report`, which
 :func:`main` alone times and prints.  The options a property or mode
 needs come from tables and are checked before anything loads.  A cap
 reached anywhere, bundle validation included, answers Unknown and names
-the command and the cap; an input error that needs no subset construction
-is still an error under any cap.  ``algebra`` prints an automaton instead,
+the command and the cap.  A bundle is parsed once and its command's input
+errors that need no subset construction are raised before validation, so
+they stay errors under any cap.  ``algebra`` prints an automaton instead,
 and a cap there is an error.
 
 Exit codes: 0 when the answer is Holds (or true) and for simulation
@@ -37,8 +38,8 @@ from .abstraction import (
 from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, ParseError, RmcError
 from .formats import (
     load_automaton,
-    load_rts_bundle,
     read_rts_bundle,
+    require_valid,
     save_automaton,
     serialize_automaton,
 )
@@ -127,11 +128,12 @@ def _check_inputs(args, command: str, rts: Rts, languages: dict) -> None:
 
 class _Loaded:
     """A validated bundle, the directory its file names resolve against,
-    and the languages the command names, by option.
+    the languages the command names, by option, and a ``constraint``
+    command's interpretation.
 
-    The command's inputs are checked (:func:`_check_inputs`) on the
-    validated bundle or, when validation stops at a state cap, on the
-    bundle as read, so a cap never hides an input error.
+    The bundle file is parsed once.  The command's inputs are checked
+    (:func:`_check_inputs`, :func:`_interpretation`) before validation,
+    which may stop at a state cap, so a cap never hides an input error.
     """
 
     def __init__(self, args, command: str):
@@ -143,12 +145,10 @@ class _Loaded:
             if (name := getattr(args, option, None))
         }
         self.goal = self.languages.get("goal")
-        try:
-            self.rts: Rts = load_rts_bundle(path)
-        except CapExceeded:
-            _check_inputs(args, command, read_rts_bundle(path), self.languages)
-            raise
+        self.rts: Rts = read_rts_bundle(path)
         _check_inputs(args, command, self.rts, self.languages)
+        self.interp = _interpretation(args, self) if args.command == "constraint" else None
+        require_valid(self.rts)
 
 
 def _cmd_check(args, command: str) -> Report:
@@ -260,12 +260,25 @@ _CONSTRAINT = {
 }
 
 
+def _interpretation(args, loaded: _Loaded | None) -> Interpretation:
+    """The ``--interp`` transducer, once its bottom alphabet is the
+    system's, the constraint word is over its top alphabet, and
+    ``--config`` and ``--other`` are over its bottom one."""
+    interp = Interpretation(
+        _load_transducer(_resolve_language(args.interp, loaded and loaded.directory))
+    )
+    bottom = interp.configuration_alphabet
+    if loaded and bottom != loaded.rts.alphabet:
+        raise AlphabetMismatch("interp configuration alphabet differs from the system alphabet")
+    interp.constraint_alphabet.check_word(parse_word(args.constraint))
+    for word in filter(None, (args.config, args.other)):
+        bottom.check_word(parse_word(word))
+    return interp
+
+
 def _cmd_constraint(args, command: str) -> Report:
     loaded = _Loaded(args, command) if args.rts else None
-    bundle_dir = loaded.directory if loaded else None
-    interp = Interpretation(
-        _load_transducer(_resolve_language(args.interp, bundle_dir))
-    )
+    interp = loaded.interp if loaded else _interpretation(args, None)
     constraint = parse_word(args.constraint)
     witness = note = None
     if args.mode == "inductive":

@@ -60,5 +60,5 @@ class BundleValidationError(RmcError):
 
     def __init__(self, report):
         self.report = report
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
+        failed = ", ".join(c.name for c in report.failed)
         super().__init__(f"bundle validation failed: {failed}")

@@ -28,8 +28,9 @@ resolved relative to the bundle's own directory:
     reach: file:reach.t
     preach: file:preach.t
 
-``reach:`` and ``preach:`` are optional.  Loading a bundle validates it
-and raises BundleValidationError when any structural check fails.
+``reach:`` and ``preach:`` are optional.  Loading a bundle parses it and
+then validates it, raising BundleValidationError when any structural
+check fails; a caller can check its own inputs in between.
 """
 
 from __future__ import annotations
@@ -267,8 +268,13 @@ _BUNDLE_KEYS = ("initial", "delta", "reach", "preach")
 
 def parse_rts_bundle(text: str, base_dir: str | Path) -> Rts:
     """Parse a bundle description, loading member files from ``base_dir``,
-    and validate the system (:meth:`Rts.validate`)."""
-    rts = _parse_system(text, base_dir)
+    and validate the system (:func:`require_valid`)."""
+    return require_valid(_parse_system(text, base_dir))
+
+
+def require_valid(rts: Rts) -> Rts:
+    """``rts`` itself when every check of :meth:`Rts.validate` passes;
+    else raise BundleValidationError with the report."""
     report = rts.validate()
     if not report.ok:
         raise BundleValidationError(report)
@@ -337,13 +343,13 @@ def _parse_system(text: str, base_dir: str | Path) -> Rts:
 
 
 def load_rts_bundle(path: str | Path) -> Rts:
-    p = Path(path)
-    return parse_rts_bundle(p.read_text(encoding="utf-8"), p.parent)
+    """The validated system a bundle file names."""
+    return require_valid(read_rts_bundle(path))
 
 
 def read_rts_bundle(path: str | Path) -> Rts:
-    """The system a bundle file names, parsed but not validated: for a
-    caller that must check its own inputs even when validation, whose
-    inclusion checks build subsets, stops at a state cap."""
+    """The system a bundle file names, parsed but not validated, for a
+    caller that checks its own inputs before :func:`require_valid`, whose
+    inclusion checks build subsets and may stop at a state cap."""
     p = Path(path)
     return _parse_system(p.read_text(encoding="utf-8"), p.parent)

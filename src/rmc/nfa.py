@@ -41,6 +41,15 @@ def _state_cap(cap: int | None) -> int:
     return cap
 
 
+def start_pairs(first: Nfa, second: Nfa) -> list:
+    """The initial state pairs of a product of two automata, in state order."""
+    return [
+        (p, q)
+        for p in first.states if p in first.initial
+        for q in second.states if q in second.initial
+    ]
+
+
 class Nfa:
     """A finite automaton over an :class:`Alphabet` (or pair alphabet).
 
@@ -148,9 +157,7 @@ class Nfa:
         return frozenset(out)
 
     def accepts(self, word: Sequence) -> bool:
-        for sym in word:
-            if sym not in self.alphabet:
-                self.alphabet.index(sym)  # raises SymbolNotInAlphabet
+        self.alphabet.check_word(word)
         current = frozenset(self.initial)
         for sym in word:
             current = self.step(current, sym)
@@ -221,11 +228,7 @@ class Nfa:
     def intersect(self, other: "Nfa") -> "Nfa":
         """Product automaton over reachable state pairs; at most n1 * n2 states."""
         self._check_same_alphabet(other)
-        start = [
-            (p, q)
-            for p in self.states if p in self.initial
-            for q in other.states if q in other.initial
-        ]
+        start = start_pairs(self, other)
         seen = dict.fromkeys(start)
         queue = deque(start)
         transitions: dict = {}

@@ -44,10 +44,6 @@ class FiniteSlice:
     bottom_sccs: frozenset[int]
     index: dict[Word, int] = field(compare=False, repr=False)
 
-    def index_of(self, config: Word) -> int | None:
-        """The index of ``config``, or None when the slice does not hold it."""
-        return self.index.get(config)
-
     def is_terminating(self, i: int) -> bool:
         return not self.edges[i]
 

@@ -82,10 +82,10 @@ def _step_path(rts: Rts, target: Word) -> tuple[Word, ...] | None:
     return None
 
 
-def _reachable_outside(rts: Rts, languages: list) -> Word | None:
-    """The least reachable configuration missing from one of ``languages``."""
+def _reachable_outside(reachable: Nfa, languages: list) -> Word | None:
+    """The least word of the reachable set missing from one of ``languages``."""
     return constrained_search(
-        rts.reachable_set(),
+        reachable,
         languages,
         lambda pos_final, hits: pos_final and not all(hits),
     )
@@ -105,7 +105,7 @@ def check_ef(rts: Rts, goal: Nfa) -> Verdict:
 
 def check_deadlock_freedom(rts: Rts) -> Verdict:
     """Does every reachable configuration have at least one successor?"""
-    found = _reachable_outside(rts, [rts.delta.lazy_domain()])
+    found = _reachable_outside(rts.reachable_set(), [rts.delta.lazy_domain()])
     if found is None:
         return holds(note="every reachable configuration has a successor")
     return fails(
@@ -333,10 +333,11 @@ def check_as_gf(rts: Rts, goal: Nfa) -> Verdict:
     _check_goal(rts, goal)
     domain = rts.delta.lazy_domain()
     can_reach_goal = rts.relation().lazy_pre_image(goal)
-    found = _reachable_outside(rts, [domain, can_reach_goal])
+    reachable = rts.reachable_set()
+    found = _reachable_outside(reachable, [domain, can_reach_goal])
     if found is None:
         note = "every reachable configuration can step and can reach the goal"
-        if rts.length_preserving or _reachable_outside(rts, [domain, goal]) is None:
+        if rts.length_preserving or _reachable_outside(reachable, [domain, goal]) is None:
             return holds(note=note)
         return unknown(note=f"{note}, but {_DRIFT_NOTE}")
     reason = (
@@ -354,7 +355,7 @@ def check_as_termination(rts: Rts) -> Verdict:
     length-preserving system and is Unknown on any other.  The pre-image
     under reach of the successor-free configurations is lazy."""
     can_halt = rts.relation().lazy_pre_image(rts.terminating())
-    found = _reachable_outside(rts, [can_halt])
+    found = _reachable_outside(rts.reachable_set(), [can_halt])
     if found is None:
         note = "every reachable configuration can reach a successor-free one"
         if not rts.length_preserving:

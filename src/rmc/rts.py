@@ -8,6 +8,9 @@ necessary conditions on them (see :meth:`Rts.validate`) but cannot verify
 that a claimed ``reach`` holds no pair beyond the reflexive-transitive
 closure of the step relation.
 
+An :class:`Rts` holds its automata and nothing derived from them; what
+derives from ``delta`` alone is kept on that transducer.
+
 :meth:`Rts.relation` and :meth:`Rts.reachable_set` read ``reach`` only, so
 the decision procedures answer for the concrete system.  ``preach`` is
 read by :mod:`rmc.abstraction` alone, which runs the same procedures on a
@@ -121,7 +124,6 @@ class Rts:
         self.reach = reach
         self.preach = preach
         self.length_preserving = delta.is_length_preserving()
-        self._cache: dict = {}
 
     @property
     def alphabet(self) -> Alphabet:
@@ -134,21 +136,13 @@ class Rts:
         return self.reach
 
     def reachable_set(self) -> Nfa:
-        """Image of the initial language under reach (cached)."""
-        key = "reachable"
-        if key not in self._cache:
-            self._cache[key] = self.relation().post_image(self.initial)
-        return self._cache[key]
+        """Image of the initial language under reach, built on each call."""
+        return self.relation().post_image(self.initial)
 
     def terminating(self) -> Nfa:
-        """Configurations with no successor: the complement of dom(delta).
-
-        Materialized by one subset construction and cached.
-        """
-        key = "terminating"
-        if key not in self._cache:
-            self._cache[key] = self.delta.project(1).complement()
-        return self._cache[key]
+        """Configurations with no successor: the complement of dom(delta),
+        built once per step transducer by one subset construction."""
+        return self.delta._derive("terminating", lambda: self.delta.project(1).complement())
 
     def successors(self, config: Word, cap: int | None = None) -> tuple[tuple[Word, ...], bool]:
         """Direct successors in shortest-then-alphabet order.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from . import graph
 from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word, convolve
 from .errors import AlphabetMismatch, PaddingViolation
-from .nfa import LazyNfa, Nfa, universal_automaton
+from .nfa import LazyNfa, Nfa, start_pairs, universal_automaton
 
 # the state a composed side moves to once its words have ended; a private
 # object, so it equals no state of a caller's transducer
@@ -165,22 +165,13 @@ def _pair_alphabet(top: Alphabet, bottom: Alphabet, *known: PairAlphabet) -> Pai
     return PairAlphabet(top, bottom)
 
 
-def _start(first: Nfa, second: Nfa) -> list:
-    """Initial state pairs, in state order."""
-    return [
-        (p, q)
-        for p in first.states if p in first.initial
-        for q in second.states if q in second.initial
-    ]
-
-
 class Transducer(Nfa):
     """An :class:`Nfa` over the pair alphabet of two track alphabets.
 
     What is derived from a transducer alone (its product indexes, its
-    successor index and its padding and length checks) is kept on it,
-    filled on first use: like every automaton, a transducer never changes
-    after construction.
+    successor index, the complement of its domain, and its padding and
+    length checks) is kept on it, filled on first use: like every
+    automaton, a transducer never changes after construction.
     """
 
     # key -> value derived from this transducer; unset until first use, so
@@ -319,7 +310,7 @@ class Transducer(Nfa):
             raise AlphabetMismatch(
                 "composition needs the first bottom alphabet to equal the second top"
             )
-        start, middles = _start(self, other), self.bottom.symbols + (PAD,)
+        start, middles = start_pairs(self, other), self.bottom.symbols + (PAD,)
         return _moves_by_middle(self, 1), _moves_by_middle(other, 0), start, middles, 0
 
     def lazy_round_trip(self, other: "Transducer") -> LazyNfa:
@@ -342,7 +333,7 @@ class Transducer(Nfa):
         if language.alphabet != self.top:
             raise AlphabetMismatch("language alphabet differs from the top track")
         left, right = _moves_of_language(language), _moves_by_middle(self, 0)
-        start, middles = _start(language, self), self.top.symbols + (PAD,)
+        start, middles = start_pairs(language, self), self.top.symbols + (PAD,)
         return _product(Nfa, self.bottom, left, right, start, middles, 2)
 
     def pre_image(self, language: Nfa) -> Nfa:
@@ -367,7 +358,7 @@ class Transducer(Nfa):
         if language.alphabet != self.bottom:
             raise AlphabetMismatch("language alphabet differs from the bottom track")
         index, middles = _moves_of_language(language), self.bottom.symbols + (PAD,)
-        return _moves_by_middle(self, 1), index, _start(self, language), middles, 1
+        return _moves_by_middle(self, 1), index, start_pairs(self, language), middles, 1
 
 
 # -- stock transducers -------------------------------------------------------------

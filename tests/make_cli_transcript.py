@@ -100,6 +100,10 @@ def commands() -> list[tuple[str, ...]]:
          "--other", "a"),
         ("constraint", "certify", *_TOGGLE, "--constraint", "a", "--config", "a",
          "--other", "b"),
+        # words outside the interpretation's alphabets: errors under any cap
+        ("constraint", "inductive", *_TOGGLE, "--constraint", "z"),
+        ("constraint", "certify", *_TOGGLE, "--constraint", "a", "--config", "z",
+         "--other", "b"),
     ]
     out += MISSING_OPTIONS
     # the same reports as JSON, for one bundle's abstract, simulate and

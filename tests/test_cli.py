@@ -338,6 +338,8 @@ def test_a_cap_never_hides_a_language_over_another_alphabet(tmp_path, capsys, mo
     """Checked before the bundle's validation, which a cap of 1 stops."""
     other = tmp_path / "other.nfa"
     other.write_text(AB_WORD.replace("a b", "x y").replace("q0 a q1", "q0 x q1"))
+    interp = tmp_path / "other.t"
+    interp.write_text(SWAP.replace("a b", "x y").replace("a/b", "x/y").replace("b/a", "y/x"))
     for argv, message in (
         (("check", "ef", "--goal", str(other)), "goal alphabet"),
         (("oracle", "--length", "2", "--property", "ef", "--goal", str(other)), "goal alphabet"),
@@ -345,6 +347,8 @@ def test_a_cap_never_hides_a_language_over_another_alphabet(tmp_path, capsys, mo
         (("abstract", "safety", "--goal", str(other)), "goal alphabet"),
         (("abstract", "as-liveness", "--goal", "done", "--pre-of-goal", str(other)),
          "pre-of-goal alphabet"),
+        (("constraint", "inductive", "--interp", str(interp), "--constraint", "x"),
+         "interp configuration alphabet"),
     ):
         argv = (*argv, "--rts", "toggle")
         monkeypatch.delenv("RMC_STATE_CAP", raising=False)

@@ -79,13 +79,13 @@ def test_reachable_slice_is_the_reachable_part_of_the_full_slice():
         for n in range(5):
             full = build_slice(rts, n)
             part = build_slice(rts, n, reachable=True)
-            kept = [i for i, c in enumerate(full.configurations) if part.index_of(c) is not None]
+            kept = [i for i, c in enumerate(full.configurations) if c in part.index]
             assert part.configurations == tuple(full.configurations[i] for i in kept)
             assert part.edges == tuple(
-                tuple(part.index_of(full.configurations[j]) for j in full.edges[i])
+                tuple(part.index[full.configurations[j]] for j in full.edges[i])
                 for i in kept
             )
-            assert part.initial == {part.index_of(full.configurations[i]) for i in full.initial}
+            assert part.initial == {part.index[full.configurations[i]] for i in full.initial}
             for name in PROPERTIES:
                 g = None if name in ("AST", "DF") else goal_
                 assert oracle_check(part, name, g) == oracle_check(full, name, g), (n, name)
@@ -110,7 +110,7 @@ def test_reachable_slice_cap_counts_reachable_configurations():
     with pytest.raises(CapExceeded, match="cap of 1 reachable"):
         build_slice(spin_rts(), 1, config_cap=1, reachable=True)
     assert build_slice(spin_rts(), 30, reachable=True).configurations == ()
-    assert build_slice(spin_rts(), 1).index_of(("c",)) is None
+    assert ("c",) not in build_slice(spin_rts(), 1).index
 
 
 def test_oracle_answers_on_spin():

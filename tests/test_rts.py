@@ -159,6 +159,8 @@ def test_reachable_set_and_terminating():
     assert halted.accepts(("a", "a", "b"))
     assert halted.accepts(("a",))
     assert not halted.accepts(("b", "a"))
+    # derived from delta alone, so built once for every system on it
+    assert shift_rts().terminating() is halted
 
 
 def test_validate_flags_missing_identity():
