@@ -48,7 +48,6 @@ from .formats import (
     load_automaton,
     load_rts_bundle,
     parse_automaton,
-    parse_rts_bundle,
     save_automaton,
     serialize_automaton,
 )

@@ -306,7 +306,7 @@ def _non_negative(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """Argparse type of ``--runs``."""
+    """Argparse type of ``--runs`` and ``algebra --cap``."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     algebra.add_argument("inputs", nargs="+", help="automaton file(s)")
     algebra.add_argument("--out", help="write the result here instead of stdout")
-    algebra.add_argument("--cap", type=int, help="state cap for complement")
+    algebra.add_argument("--cap", type=_positive, help="state cap for complement")
     algebra.add_argument("--direction", choices=("post", "pre"), default="post")
     algebra.add_argument("--track", type=int, choices=(1, 2), default=1)
 

@@ -266,12 +266,6 @@ def save_automaton(automaton: Nfa, path: str | Path) -> None:
 _BUNDLE_KEYS = ("initial", "delta", "reach", "preach")
 
 
-def parse_rts_bundle(text: str, base_dir: str | Path) -> Rts:
-    """Parse a bundle description, loading member files from ``base_dir``,
-    and validate the system (:func:`require_valid`)."""
-    return require_valid(_parse_system(text, base_dir))
-
-
 def require_valid(rts: Rts) -> Rts:
     """``rts`` itself when every check of :meth:`Rts.validate` passes;
     else raise BundleValidationError with the report."""
@@ -281,10 +275,12 @@ def require_valid(rts: Rts) -> Rts:
     return rts
 
 
-def _parse_system(text: str, base_dir: str | Path) -> Rts:
-    """The system a bundle description names, not yet validated."""
-    base = Path(base_dir)
-    lines = _Lines(text)
+def read_rts_bundle(path: str | Path) -> Rts:
+    """The system a bundle file names, parsed but not validated, for a
+    caller that checks its own inputs before :func:`require_valid`, whose
+    inclusion checks build subsets and may stop at a state cap."""
+    base = Path(path).parent
+    lines = _Lines(Path(path).read_text(encoding="utf-8"))
     if lines.done():
         raise ParseError("empty bundle file")
     number, header = lines.take()
@@ -345,11 +341,3 @@ def _parse_system(text: str, base_dir: str | Path) -> Rts:
 def load_rts_bundle(path: str | Path) -> Rts:
     """The validated system a bundle file names."""
     return require_valid(read_rts_bundle(path))
-
-
-def read_rts_bundle(path: str | Path) -> Rts:
-    """The system a bundle file names, parsed but not validated, for a
-    caller that checks its own inputs before :func:`require_valid`, whose
-    inclusion checks build subsets and may stop at a state cap."""
-    p = Path(path)
-    return _parse_system(p.read_text(encoding="utf-8"), p.parent)

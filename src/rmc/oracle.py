@@ -3,16 +3,19 @@
 A length-preserving system restricted to words of one length is a finite
 graph, so every property the symbolic procedures decide can be recomputed
 here by brute force: reachability, cycles, strongly connected components,
-bottom SCCs, and seeded random walks.  The oracle exists to cross-check
-the transducer-based procedures and to lift explicitly computed closures
-back into transducer form.
+bottom SCCs, and seeded random walks.  :func:`oracle_check` decides
+most properties by a breadth-first walk from the initial configurations
+that stops at the first configuration meeting the property's stopping
+rule, and finds lassos with one cycle search.  The oracle exists to
+cross-check the transducer-based procedures and to lift explicitly
+computed closures back into transducer form.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from . import graph
 from .alphabet import Alphabet, Word, convolve
@@ -108,45 +111,36 @@ def build_slice(
     )
 
 
-def _witness(slice_: FiniteSlice, nodes: Sequence[int], kind: str = "path", loop_start=None) -> Witness:
+def _witness(slice_: FiniteSlice, parents: dict, v: int, loop: set | None = None) -> Witness:
+    """The path ``parents`` gives to ``v``; with ``loop``, a set of nodes
+    in which ``v`` lies on a cycle, a lasso closed by a shortest such
+    cycle.  By convention the last configuration of a lasso steps back to
+    ``loop_start``, so ``v`` is not repeated."""
+    nodes = graph.path_to(parents, v)
+    loop_start = None
+    if loop is not None:
+        loop_start = len(nodes) - 1
+        nodes += graph.cycle_through(slice_.edges, v, loop)[:-1]
     return Witness(
-        kind=kind,
-        configurations=tuple(slice_.configurations[i] for i in nodes),
-        loop_start=loop_start,
+        "path" if loop is None else "lasso",
+        tuple(slice_.configurations[i] for i in nodes),
+        loop_start,
     )
 
 
-def _lasso(slice_: FiniteSlice, prefix: list[int], inside: set):
-    """Close ``prefix`` with a shortest cycle from its last node back to it
-    inside ``inside``; returns (nodes, loop_start).  By convention the last
-    configuration of a lasso steps back to ``loop_start``, so the return to
-    the entry node is not repeated."""
-    cycle = graph.cycle_through(slice_.edges, prefix[-1], inside)
-    return prefix + cycle[:-1], len(prefix) - 1
-
-
-def _cycle_search(slice_: FiniteSlice, starts: set, allowed: set):
-    """Find a lasso inside ``allowed``: a path from ``starts`` to a cycle.
-
-    Returns (path_nodes, loop_start) or None.
-    """
-    order, parents = graph.bfs(slice_.edges, starts, allowed)
-    reachable = set(order)
-    if not reachable:
-        return None
-    # restrict the graph to reachable-and-allowed nodes and look for a cycle
-    nodes = sorted(reachable)
-    local = {v: i for i, v in enumerate(nodes)}
-    sub_edges = [
-        [local[w] for w in slice_.edges[v] if w in reachable]
-        for v in nodes
+def _cycle_search(slice_: FiniteSlice, reached: set, parents: dict) -> Witness | None:
+    """A lasso inside ``reached``, whose nodes ``parents`` has paths to:
+    the first cyclic component Tarjan's search closes, entered at its
+    least member, or None.  The search keeps the slice's numbering and
+    takes only the edges between reached nodes."""
+    edges = [
+        [w for w in out if w in reached] if v in reached else ()
+        for v, out in enumerate(slice_.edges)
     ]
-    sccs, _scc_of = graph.tarjan(len(nodes), sub_edges)
+    sccs, _scc_of = graph.tarjan(len(edges), edges)
     for members in sccs:
-        if graph.is_cyclic(members, sub_edges):
-            real = [nodes[i] for i in members]
-            entry = min(real)
-            return _lasso(slice_, graph.path_to(parents, entry), set(real))
+        if graph.is_cyclic(members, edges):
+            return _witness(slice_, parents, members[0], set(members))
     return None
 
 
@@ -156,7 +150,16 @@ def oracle_check(
     """Decide one qualitative property on a finite slice.
 
     Returns ``(answer, witness)``; the witness demonstrates an existential
-    success or a universal counterexample, whichever applies.
+    success or a universal counterexample, whichever applies.  Every
+    property looks only at runs from the initial configurations, whose
+    breadth-first search gives the reachable goal-free part.  EGF takes
+    the least reachable goal configuration on a cycle, and AGF the first
+    goal-free cycle Tarjan's search closes.  The others walk breadth-first
+    from the initial configurations, inside the goal-free part for AF and
+    ASF, and stop at the first configuration that meets their stopping
+    rule, so the path to it is shortest, then least.  EF holds when the
+    walk stops and the others when it does not; AF also needs no
+    goal-free lasso.
     """
     prop = property_name.upper()
     if prop not in PROPERTIES:
@@ -167,82 +170,42 @@ def oracle_check(
     if goal is not None and goal.alphabet != slice_.alphabet:
         raise ValueError("goal alphabet differs from the slice alphabet")
 
-    # every property looks only at runs from the initial configurations
-    order, parents = graph.bfs(slice_.edges, slice_.initial)
-    in_goal = (
-        frozenset(v for v in order if goal.accepts(slice_.configurations[v]))
-        if goal is not None
-        else frozenset()
+    edges, sccs, scc_of, bottom = slice_.edges, slice_.sccs, slice_.scc_of, slice_.bottom_sccs
+    order, parents = graph.bfs(edges, slice_.initial)
+    goal_free = frozenset(
+        v for v in order if goal is None or not goal.accepts(slice_.configurations[v])
     )
-    goal_free = set(order) - in_goal
-
-    if prop == "EF":
-        for v in order:
-            if v in in_goal:
-                return True, _witness(slice_, graph.path_to(parents, v))
-        return False, None
-
     if prop == "EGF":
-        for g in sorted(in_goal):
-            scc = slice_.sccs[slice_.scc_of[g]]
-            if graph.is_cyclic(scc, slice_.edges):
-                nodes, loop_start = _lasso(slice_, graph.path_to(parents, g), set(scc))
-                return True, _witness(slice_, nodes, kind="lasso", loop_start=loop_start)
+        for g in sorted(v for v in order if v not in goal_free):
+            if graph.is_cyclic(sccs[scc_of[g]], edges):
+                return True, _witness(slice_, parents, g, set(sccs[scc_of[g]]))
         return False, None
-
-    if prop == "AF":
-        # a maximal goal-free path ending in a terminating configuration
-        af_order, af_parents = graph.bfs(slice_.edges, slice_.initial, goal_free)
-        for v in af_order:
-            if slice_.is_terminating(v):
-                return False, _witness(slice_, graph.path_to(af_parents, v))
-        found = _cycle_search(slice_, slice_.initial, goal_free)
-        if found is not None:
-            nodes, loop_start = found
-            return False, _witness(slice_, nodes, kind="lasso", loop_start=loop_start)
-        return True, None
-
     if prop == "AGF":
         # only a reachable goal-avoiding cycle counts against repeated
         # reachability; runs that die out are judged by AST and ASGF instead
-        found = _cycle_search(slice_, goal_free, goal_free)
-        if found is not None:
-            nodes, loop_start = found
-            stem = graph.path_to(parents, nodes[0])
-            full = stem + nodes[1:]
-            return False, _witness(
-                slice_, full, kind="lasso", loop_start=loop_start + len(stem) - 1
-            )
-        return True, None
-
-    goal_free_bottom = {
-        si for si in slice_.bottom_sccs if in_goal.isdisjoint(slice_.sccs[si])
-    }
-    if prop == "ASF":
-        asf_order, asf_parents = graph.bfs(slice_.edges, slice_.initial, goal_free)
-        for v in asf_order:
-            if slice_.scc_of[v] in goal_free_bottom:
-                return False, _witness(slice_, graph.path_to(asf_parents, v))
-        return True, None
-
-    # the rest fail at the first bad configuration in breadth-first order,
-    # so their counterexamples are shortest, then least; a bottom SCC
-    # without a cycle is a single terminating configuration
-    halting = {
-        si for si in slice_.bottom_sccs if not graph.is_cyclic(slice_.sccs[si], slice_.edges)
-    }
-    if prop == "ASGF":
-        # a bottom SCC that halts or never meets the goal
-        bad_sccs = goal_free_bottom | halting
-    elif prop == "AST":
-        # a bottom SCC whose runs go on forever
-        bad_sccs = slice_.bottom_sccs - halting
-    else:  # DF: a terminating configuration
-        bad_sccs = halting
-    for v in order:
-        if slice_.scc_of[v] in bad_sccs:
-            return False, _witness(slice_, graph.path_to(parents, v))
-    return True, None
+        lasso = _cycle_search(slice_, goal_free, parents)
+        return lasso is None, lasso
+    if prop in ("AF", "ASF"):
+        order, parents = graph.bfs(edges, slice_.initial, goal_free)
+    if prop in ("ASF", "ASGF"):
+        avoiding = {si for si in bottom if goal_free.issuperset(sccs[si])}
+    # the stopping rules; a bottom component that halts is a single
+    # terminating configuration
+    stops = {
+        "EF": lambda v: v not in goal_free,
+        "AF": slice_.is_terminating,
+        "ASF": lambda v: scc_of[v] in avoiding,
+        "ASGF": lambda v: scc_of[v] in avoiding or slice_.is_terminating(v),
+        "AST": lambda v: scc_of[v] in bottom and not slice_.is_terminating(v),
+        "DF": slice_.is_terminating,
+    }[prop]
+    stop = next((v for v in order if stops(v)), None)
+    if stop is not None:
+        return prop == "EF", _witness(slice_, parents, stop)
+    if prop == "AF":
+        lasso = _cycle_search(slice_, set(order), parents)
+        return lasso is None, lasso
+    return prop != "EF", None
 
 
 # -- closure lifting -----------------------------------------------------------

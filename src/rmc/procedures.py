@@ -227,10 +227,12 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
 
     # stage one: read a reachable word on the top track while running the
     # chain relation against a same-length prospective prefix on the bottom
-    # track, and the prefix against itself diagonally
-    stage_parents = dict.fromkeys(
-        itertools.product(reach_lang.initial, chain.initial, chain.initial)
-    )
+    # track, and the prefix against itself diagonally; the roots come in
+    # state order, so the witness does not depend on set iteration order
+    starts = [q for q in chain.states if q in chain.initial]
+    stage_parents = dict.fromkeys(itertools.product(
+        [s for s in reach_lang.states if s in reach_lang.initial], starts, starts
+    ))
     stage_labels: dict = {}
     for _edge in explore(stage_parents, stage_labels, reach_lang.transitions):
         pass
@@ -252,19 +254,10 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
                 out[(b2, c2)] = (xs + (x,), ys + (y,))
         return out
 
-    # stage two: saturate the comb graph from the entry nodes
+    # stage two: saturate the comb graph from the entry nodes; the closure
+    # visits each node once, and ``comb`` is read in sorted order
     comb: dict = {}
-    pending = sorted(entry_nodes)
-    seen = set(pending)
-    while pending:
-        node = pending.pop()
-        labelled = edges_from(node)
-        comb[node] = labelled
-        for target in labelled:
-            if target not in seen:
-                seen.add(target)
-                pending.append(target)
-
+    graph.closure(entry_nodes, lambda node: comb.setdefault(node, edges_from(node)))
     nodes = sorted(comb)
     position = {node: i for i, node in enumerate(nodes)}
     adjacency = [sorted(position[t] for t in comb[node]) for node in nodes]
@@ -478,7 +471,8 @@ def run_check(
 ) -> Verdict:
     """Dispatch a property check by name; the command line goes through
     here so the names are part of the interface.  A check that outgrows
-    a cap answers Unknown with a note naming the property and the cap."""
+    a cap raises :class:`~rmc.errors.CapExceeded`, as every check does;
+    :func:`rmc.cli.main` alone turns it into Unknown, naming the command."""
     name = property_name.lower()
     prop = PROPERTIES.get(name)
     if prop is None:
@@ -487,7 +481,4 @@ def run_check(
         )
     if prop.needs_goal and goal is None:
         raise ValueError(f"property {name!r} needs a goal language")
-    try:
-        return prop.run(rts, goal, bound)
-    except CapExceeded as err:
-        return unknown(note=f"{name} stopped at a cap: {err}")
+    return prop.run(rts, goal, bound)

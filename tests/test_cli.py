@@ -45,6 +45,9 @@ s0 b/a s1
 """
 
 
+TEST_DATA = Path(__file__).resolve().parent / "data"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -126,6 +129,41 @@ def test_check_growing_system_clique(capsys):
     code, out, _ = run(capsys, "check", "egf", "--rts", "succ-walk", "--goal", "all")
     assert code == 0
     assert "clique-prefix" in out
+
+
+# a and b, each from its own initial state; a step copies the word and
+# appends a letter, and reach copies it and appends any word
+_TWO_STARTS = {
+    "init.nfa": "type: nfa\nalphabet: a b\nstates: s1 s2 f\ninitial: s1 s2\nfinal: f\n"
+    "transitions:\ns1 a f\ns2 b f\n",
+    "delta.t": "type: transducer\nalphabet-top: a b\nalphabet-bottom: a b\nstates: s t\n"
+    "initial: s\nfinal: t\ntransitions:\ns a/a s\ns b/b s\ns #/a t\ns #/b t\n",
+    "reach.t": "type: transducer\nalphabet-top: a b\nalphabet-bottom: a b\nstates: r p\n"
+    "initial: r\nfinal: r p\ntransitions:\nr a/a r\nr b/b r\nr #/a p\nr #/b p\n"
+    "p #/a p\np #/b p\n",
+    "all.nfa": "type: nfa\nalphabet: a b\nstates: q\ninitial: q\nfinal: q\n"
+    "transitions:\nq a q\nq b q\n",
+    "bundle.rts": "rts\nalphabet: a b\ninitial: file:init.nfa\ndelta: file:delta.t\n"
+    "reach: file:reach.t\npreach: file:reach.t\n",
+}
+
+
+def test_clique_witness_does_not_depend_on_the_hash_seed(tmp_path):
+    for name, text in _TWO_STARTS.items():
+        (tmp_path / name).write_text(text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = ["check", "egf-clique", "--rts", str(tmp_path / "bundle.rts"), "--goal", "all"]
+    witnesses = [
+        json.loads(subprocess.run(
+            [sys.executable, "-m", "rmc", *argv, "--json"],
+            env=dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        ).stdout)["witness"]
+        for hash_seed in range(8)
+    ]
+    assert witnesses == [witnesses[0]] * 8
+    assert witnesses[0]["configurations"] == ["a", "a a"]
 
 
 def test_check_missing_goal(capsys):
@@ -425,6 +463,10 @@ def test_algebra_complement_cap(tmp_path, capsys):
     )
     assert code == 3
     assert "cap" in err
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "algebra", "complement", str(word), "--cap", value)
+        assert (code, out) == (3, "")
+        assert f"argument --cap: must be a positive integer, got {value!r}" in err
 
 
 def test_constraint_inductive_failure(capsys):
@@ -491,6 +533,8 @@ _CAPPED = [
     ("abstract", "as-liveness", "--rts", "herman-lp", "--goal", "one-token",
      "--pre-of-goal", "tokens"),
     ("check", "ef", "--rts", "toggle", "--goal", "done"),
+    # the bundle validates under cap 1; the check itself meets the cap
+    ("check", "egf-loop", "--rts", str(TEST_DATA / "fourth-from-end"), "--goal", "goal"),
     ("constraint", "inductive", "--interp", "ident.t", "--rts", "toggle", "--constraint", "a"),
 ]
 

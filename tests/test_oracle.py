@@ -1,5 +1,6 @@
 """Explicit-state oracle: slices, property answers, closures, walks."""
 
+import hashlib
 import math
 import os
 import random
@@ -16,6 +17,8 @@ from rmc import (
     Rts,
     SimulationConfig,
     Witness,
+    load_automaton,
+    load_rts_bundle,
     simulate,
     slice_closure,
     relation_to_transducer,
@@ -30,6 +33,8 @@ from support import (
     random_nfa,
     words_nfa,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data"
 
 # a <-> b, with c a dead end reachable from b.
 SPIN = mk_t(
@@ -164,6 +169,56 @@ def test_lasso_convention_last_steps_back():
         assert rts.delta.accepts_pair(configs[i], configs[i + 1])
     assert rts.delta.accepts_pair(configs[-1], configs[witness.loop_start])
     assert configs[-1] != configs[witness.loop_start]
+
+
+def _replays(slice_, witness) -> bool:
+    """Does ``witness`` start initial and take slice edges only, a lasso
+    stepping from its last configuration back to ``loop_start``?"""
+    nodes = [slice_.index[c] for c in witness.configurations]
+    steps = list(zip(nodes, nodes[1:]))
+    if witness.kind == "lasso":
+        steps.append((nodes[-1], nodes[witness.loop_start]))
+    return nodes[0] in slice_.initial and all(w in slice_.edges[v] for v, w in steps)
+
+
+# the sha256 of every (property, answer, witness) the test below meets
+_WITNESS_DIGEST = "1076720e8aebce12061d7bf4761f95acd491c4f3b9f9180e87fdbfd60cfcd1f5"
+
+
+def test_oracle_witnesses_replay_and_are_pinned():
+    """Every oracle witness is a run of its slice that shows its answer,
+    and every answer and witness is pinned: over a seeded stream of
+    systems, full and reachable slices of lengths 1-4, and herman-lp's
+    one-token goal at lengths 4-7."""
+    rng = random.Random(97)
+    cases = []
+    for _ in range(100):
+        rts, goal_ = random_lp_rts(rng)
+        for n in range(1, 5):
+            cases += [(build_slice(rts, n), goal_), (build_slice(rts, n, reachable=True), goal_)]
+    herman = DATA / "herman-lp"
+    rts = load_rts_bundle(herman / "bundle.rts")
+    one_token = load_automaton(herman / "one-token.nfa")
+    cases += [(build_slice(rts, n, reachable=True), one_token) for n in range(4, 8)]
+    digest = hashlib.sha256()
+    for slice_, goal_ in cases:
+        for name in PROPERTIES:
+            g = None if name in ("AST", "DF") else goal_
+            answer, witness = oracle_check(slice_, name, g)
+            digest.update(f"{name} {answer} {witness}\n".encode())
+            if witness is None:
+                continue
+            assert _replays(slice_, witness), (name, witness)
+            configs = witness.configurations
+            if name == "EF":
+                assert g.accepts(configs[-1])
+            elif name == "EGF":
+                assert g.accepts(configs[witness.loop_start])
+            elif name in ("AF", "ASF"):
+                assert not any(g.accepts(c) for c in configs)
+            elif name == "AGF":
+                assert not any(g.accepts(c) for c in configs[witness.loop_start :])
+    assert digest.hexdigest() == _WITNESS_DIGEST
 
 
 def test_slice_closure_laws():
