@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .alphabet import Word
 from .errors import DeterminismViolation, MissingRelation
-from .nfa import Nfa, universal_automaton, word_automaton
-from .procedures import _DRIFT_NOTE, _check_goal, _locate, _reachable_outside, check_egf
+from .nfa import Nfa, constrained_search, universal_automaton, word_automaton
+from .procedures import _DRIFT_NOTE, _check_goal, _locate, check_egf
 from .rts import Rts, ValidationReport, inclusion_checks
 from .transducer import Transducer, identity
 from .verdict import Verdict, fails, holds, unknown
@@ -69,10 +69,8 @@ def is_inductive(
     ok, escape = satisfying.includes(stepped)
     if ok:
         return True, None
-    inside = rts.delta.pre_image(
-        word_automaton(rts.alphabet, escape)
-    ).intersect(satisfying)
-    return False, (inside.shortest_word(), escape)
+    leaving = rts.delta.lazy_pre_image(word_automaton(rts.alphabet, escape))
+    return False, (constrained_search([leaving, satisfying]), escape)
 
 
 def separates(
@@ -116,7 +114,7 @@ def abstract_safety(rts: Rts, unsafe: Nfa) -> Verdict:
     Holds soundly implies the concrete system never reaches ``unsafe``."""
     _check_goal(rts, unsafe)
     potential = _potential(rts)
-    found = potential.reachable_set().intersect(unsafe).shortest_word()
+    found = constrained_search([potential.reachable_set(), unsafe])
     if found is None:
         return holds(note="no unsafe configuration is potentially reachable")
     return fails(
@@ -161,8 +159,8 @@ def abstract_as_liveness(rts: Rts, goal: Nfa, pre_of_goal: Nfa) -> Verdict:
     _check_goal(rts, goal)
     potential = _potential(rts)
     domain = rts.delta.lazy_domain()
-    found = _reachable_outside(
-        potential.reachable_set(),
+    found = constrained_search(
+        [potential.reachable_set()],
         [domain, pre_of_goal, potential.relation().lazy_pre_image(goal)],
     )
     if found is not None:

@@ -5,7 +5,10 @@ An automaton is immutable after construction, which lets a transducer keep
 what it derives from itself alone (:class:`~rmc.transducer.Transducer`).
 Reported witnesses (shortest accepted word, shortest inclusion
 counterexample) are always of minimal length with ties broken by alphabet
-order, so repeated runs produce identical output.
+order, so repeated runs produce identical output.  Every search for a
+word is :func:`constrained_search`: the least word of ∩P minus ∩N.  Only
+the negatives N are determinized, lazily, behind the state cap; the
+positives P are one nondeterministic product.
 
 State identifiers are arbitrary hashable values.  Constructions label
 their result states with tuples or integers.
@@ -13,6 +16,7 @@ their result states with tuples or integers.
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence
@@ -170,7 +174,7 @@ class Nfa:
 
         Returns None when the language is empty.
         """
-        return constrained_search(self, [], lambda pos_final, hits: pos_final)
+        return constrained_search([self])
 
     def is_empty(self) -> bool:
         return self.shortest_word() is None
@@ -179,6 +183,16 @@ class Nfa:
         if len(self.initial) > 1:
             return False
         return all(len(dsts) <= 1 for dsts in self.transitions.values())
+
+    def _view(self) -> tuple:
+        """``(moves, accepting, initial)`` as a search reads them, states by
+        position: ``moves[i]`` maps a symbol to the successors of state i."""
+        pos = self._pos
+        moves: list = [{} for _ in self.states]
+        for (q, sym), dsts in self.transitions.items():
+            moves[pos[q]][sym] = tuple(pos[r] for r in dsts)
+        accepting = [q in self.final for q in self.states]
+        return moves, accepting, frozenset(pos[q] for q in self.initial)
 
     # -- reachability and trimming ---------------------------------------------
 
@@ -281,12 +295,8 @@ class Nfa:
         shortest word accepted by ``other`` but not by ``self``.
         """
         self._check_same_alphabet(other)
-        counterexample = constrained_search(
-            other, [self], lambda pos_final, hits: pos_final and not hits[0]
-        )
-        if counterexample is None:
-            return True, None
-        return False, counterexample
+        counterexample = constrained_search([other], [self])
+        return counterexample is None, counterexample
 
     # -- enumeration ---------------------------------------------------------------
 
@@ -400,6 +410,9 @@ class LazyNfa:
             current = {r for q in current for r in self.moves[q].get(sym, ())}
         return any(self.accepting[q] for q in current)
 
+    def _view(self) -> tuple:
+        return self.moves, self.accepting, self.initial
+
 
 class _Memo(dict):
     """A dict that fills a missing key with ``compute(key)``."""
@@ -414,6 +427,23 @@ class _Memo(dict):
         return value
 
 
+def _meet(views: list) -> tuple:
+    """The view of the product of ``views``, explored only where a search
+    steps it: its states are tuples of theirs, and accept where all do."""
+    if len(views) == 1:
+        return views[0]
+    each_moves, each_accepting, each_initial = zip(*views)
+
+    def moves(node: tuple) -> dict:
+        steps = [m[q] for m, q in zip(each_moves, node)]
+        return {sym: list(itertools.product(*(s.get(sym, ()) for s in steps))) for sym in steps[0]}
+
+    def accepting(node: tuple) -> bool:
+        return all(accepts[q] for accepts, q in zip(each_accepting, node))
+
+    return _Memo(moves), _Memo(accepting), frozenset(itertools.product(*each_initial))
+
+
 class _Subsets:
     """The subset construction of one automaton, built lazily.
 
@@ -426,18 +456,8 @@ class _Subsets:
 
     __slots__ = ("start", "found", "number", "_moves", "_accepting", "_steps", "_cap")
 
-    def __init__(self, nfa: Nfa | LazyNfa, cap: int):
-        if isinstance(nfa, Nfa):
-            pos = nfa._pos
-            self._moves = [{} for _ in nfa.states]
-            for (q, sym), dsts in nfa.transitions.items():
-                self._moves[pos[q]][sym] = tuple(pos[r] for r in dsts)
-            self._accepting = [q in nfa.final for q in nfa.states]
-            self.start = frozenset(pos[q] for q in nfa.initial)
-        else:
-            self._moves = nfa.moves
-            self._accepting = nfa.accepting
-            self.start = nfa.initial
+    def __init__(self, automaton: Nfa | LazyNfa, cap: int):
+        self._moves, self._accepting, self.start = automaton._view()
         self._steps: dict = {}
         self._cap = cap
         self.found = [self.start]
@@ -466,55 +486,48 @@ class _Subsets:
         return nxt
 
 
-def constrained_search(
-    pos: Nfa,
-    dets: Sequence[Nfa | LazyNfa],
-    accept: Callable[[bool, tuple], bool],
-) -> tuple | None:
-    """Shortest word w in L(pos) filtered by determinized side conditions.
+def constrained_search(positives: Sequence, negatives: Sequence = ()) -> tuple | None:
+    """The least word of ∩P minus ∩N: the shortest, then alphabet-least,
+    word that every automaton of ``positives`` accepts and, when there are
+    ``negatives``, not every one of them does; None when there is none.
 
-    Explores the product of ``pos`` (kept nondeterministic) with the
-    subset constructions of every automaton in ``dets``, built lazily.
-    ``accept(pos_final, hits)`` decides acceptance of a product node,
-    where ``hits[i]`` tells whether the i-th subset contains a final
-    state.  Returns the shortest, lexicographically least accepted word,
-    or None.  The subset parts are never materialized beyond the states
-    the search actually visits; if any of them still grows past the
-    state cap, the search raises rather than running away.
-
-    A side may be a :class:`LazyNfa`, whose states are found only as its
-    subsets step along the search's words; they count against the cap like
-    any others, though they may hold dead states a trimmed automaton lacks.
+    The operands share one alphabet; each is an :class:`Nfa` or a
+    :class:`LazyNfa`, read through its ``(moves, accepting, initial)``
+    view.  The positives are walked as one nondeterministic product
+    (:func:`_meet`) and never meet the state cap.  Each negative is
+    determinized lazily (:class:`_Subsets`), along the words the search
+    visits; past the cap the search raises rather than running away.
 
     The search takes words by length, then in alphabet order.  All the
     product nodes one word reaches share its subsets, so each length is a
-    list of groups ``(word, states, subsets)`` naming the ``pos`` states
+    list of groups ``(word, states, subsets)`` naming the positive states
     the word is the first to reach.  The answer thus never depends on the
     order of the states.
     """
-    for d in dets:
-        if d.alphabet != pos.alphabet:
-            raise AlphabetMismatch("search operands have different alphabets")
+    alphabet = positives[0].alphabet
+    if any(operand.alphabet != alphabet for operand in (*positives, *negatives)):
+        raise AlphabetMismatch("search operands have different alphabets")
+    moves, accepting, initial = _meet([p._view() for p in positives])
     cap = _state_cap(None)
-    sides = [_Subsets(d, cap) for d in dets]
-    transitions = pos.transitions
+    sides = [_Subsets(n, cap) for n in negatives]
 
     def accepted(states, subsets) -> bool:
-        hits = tuple(side.final(s) for side, s in zip(sides, subsets))
-        return any(accept(q in pos.final, hits) for q in states)
+        return any(accepting[q] for q in states) and not (
+            sides and all(side.final(s) for side, s in zip(sides, subsets))
+        )
 
     start = tuple(side.start for side in sides)
-    if accepted(pos.initial, start):
+    if accepted(initial, start):
         return ()
-    seen = {(q, start) for q in pos.initial}
-    level = [((), pos.initial, start)]
+    seen = {(q, start) for q in initial}
+    level = [((), initial, start)]
     while level:
         following = []
         for word, states, subsets in level:
-            for sym in pos.alphabet.symbols:
+            for sym in alphabet.symbols:
                 succs: set = set()
                 for q in states:
-                    succs.update(transitions.get((q, sym), ()))
+                    succs.update(moves[q].get(sym, ()))
                 if not succs:
                     continue
                 stepped = tuple(side.step(s, sym) for side, s in zip(sides, subsets))

@@ -6,6 +6,11 @@ length up to a bound and answer Unknown when the bound cannot be shown
 exhaustive.  All of them return a Verdict whose witness, when present,
 names concrete configurations.
 
+Each configuration a symbolic check reports is one search,
+:func:`~rmc.nfa.constrained_search`: the reachable set and the goal are
+its positives, the languages every reachable configuration must be in
+its negatives, and only those meet the state cap.
+
 Witness step granularity differs by route: bounded checks produce
 single-step witnesses replayable against the step relation, while the
 cycle route of the repeated-reachability check produces lassos whose
@@ -39,11 +44,11 @@ def _check_goal(rts: Rts, goal: Nfa) -> None:
 
 
 def _locate(rts: Rts, target: Word) -> Witness:
-    """A witness that ``target`` is reachable: the stepwise path a
-    breadth-first search of its slice gives when the search meets it
-    before any cap, even in a slice over the cap; else a source/target
-    pair under the reachability relation, as when the relation claims
-    more than the steps reach."""
+    """A witness that ``target``, a word of the reachable set, is
+    reachable: the stepwise path a breadth-first search of its slice gives
+    when the search meets it before any cap, even in a slice over the cap;
+    else a source/target pair under the reachability relation, as when the
+    relation claims more than the steps reach."""
     try:
         path = _step_path(rts, target) if rts.length_preserving else None
     except CapExceeded:
@@ -51,11 +56,7 @@ def _locate(rts: Rts, target: Word) -> Witness:
     if path is not None:
         return Witness("path", path)
     here = word_automaton(rts.alphabet, target)
-    source = rts.relation().pre_image(here).intersect(rts.initial).shortest_word()
-    if source is None:
-        # the relation claims reachability yet names no initial source;
-        # fall back to the target alone
-        return Witness("path", (target,))
+    source = constrained_search([rts.relation().lazy_pre_image(here), rts.initial])
     return Witness("pair", (source, target))
 
 
@@ -82,22 +83,13 @@ def _step_path(rts: Rts, target: Word) -> tuple[Word, ...] | None:
     return None
 
 
-def _reachable_outside(reachable: Nfa, languages: list) -> Word | None:
-    """The least word of the reachable set missing from one of ``languages``."""
-    return constrained_search(
-        reachable,
-        languages,
-        lambda pos_final, hits: pos_final and not all(hits),
-    )
-
-
 # -- reachability ---------------------------------------------------------------
 
 
 def check_ef(rts: Rts, goal: Nfa) -> Verdict:
     """Is some goal configuration reachable from the initial set?"""
     _check_goal(rts, goal)
-    found = rts.reachable_set().intersect(goal).shortest_word()
+    found = constrained_search([rts.reachable_set(), goal])
     if found is None:
         return fails(note="no goal configuration in the reachable set")
     return holds(witness=_locate(rts, found))
@@ -105,7 +97,7 @@ def check_ef(rts: Rts, goal: Nfa) -> Verdict:
 
 def check_deadlock_freedom(rts: Rts) -> Verdict:
     """Does every reachable configuration have at least one successor?"""
-    found = _reachable_outside(rts.reachable_set(), [rts.delta.lazy_domain()])
+    found = constrained_search([rts.reachable_set()], [rts.delta.lazy_domain()])
     if found is None:
         return holds(note="every reachable configuration has a successor")
     return fails(
@@ -123,19 +115,16 @@ def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
     A configuration c lies on a cycle iff some step (c, y) of delta has
     (y, c) in reach, one step out and reach back, provided reach contains
     the identity and delta (:meth:`Rts.validate` checks both).  So the
-    configurations on cycles are the domain of delta ∩ reach⁻¹, searched
-    lazily as the round trips of delta and reach beside the goal.  The
-    lasso starts at the least such c and goes through its least successor
-    that reach leads back from.  Complete on its own for length-preserving
-    systems, where any infinite run stays inside one finite length class.
+    configurations on cycles are the domain of delta ∩ reach⁻¹, the lazy
+    round trips of delta and reach, searched with the goal as positives, so
+    at no cap.  The lasso starts at the least such c and goes through its
+    least successor that reach leads back from.  Complete on its own for
+    length-preserving systems, where any infinite run stays inside one
+    finite length class.
     """
     _check_goal(rts, goal)
     relation = rts.relation()
-    config = constrained_search(
-        rts.reachable_set(),
-        [goal, rts.delta.lazy_round_trip(relation)],
-        lambda pos_final, hits: pos_final and all(hits),
-    )
+    config = constrained_search([rts.reachable_set(), goal, rts.delta.lazy_round_trip(relation)])
     if config is None:
         return fails(note="no reachable goal configuration lies on a cycle")
     if rts.delta.accepts_pair(config, config):
@@ -144,7 +133,7 @@ def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
             note="the loop is a single step of the system",
         )
     here = word_automaton(rts.alphabet, config)
-    via = rts.delta.post_image(here).intersect(relation.pre_image(here)).shortest_word()
+    via = constrained_search([rts.delta.post_image(here), relation.lazy_pre_image(here)])
     return holds(
         witness=Witness("lasso", (config, via), loop_start=0),
         note="loop steps are reachability-relation hops",
@@ -325,12 +314,11 @@ def check_as_gf(rts: Rts, goal: Nfa) -> Verdict:
     dom(delta) and the goal's pre-image under reach, are lazy."""
     _check_goal(rts, goal)
     domain = rts.delta.lazy_domain()
-    can_reach_goal = rts.relation().lazy_pre_image(goal)
     reachable = rts.reachable_set()
-    found = _reachable_outside(reachable, [domain, can_reach_goal])
+    found = constrained_search([reachable], [domain, rts.relation().lazy_pre_image(goal)])
     if found is None:
         note = "every reachable configuration can step and can reach the goal"
-        if rts.length_preserving or _reachable_outside(reachable, [domain, goal]) is None:
+        if rts.length_preserving or constrained_search([reachable], [domain, goal]) is None:
             return holds(note=note)
         return unknown(note=f"{note}, but {_DRIFT_NOTE}")
     reason = (
@@ -348,7 +336,7 @@ def check_as_termination(rts: Rts) -> Verdict:
     length-preserving system and is Unknown on any other.  The pre-image
     under reach of the successor-free configurations is lazy."""
     can_halt = rts.relation().lazy_pre_image(rts.terminating())
-    found = _reachable_outside(rts.reachable_set(), [can_halt])
+    found = constrained_search([rts.reachable_set()], [can_halt])
     if found is None:
         note = "every reachable configuration can reach a successor-free one"
         if not rts.length_preserving:

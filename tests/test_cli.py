@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rmc import PROPERTIES, parse_automaton
+from rmc import PROPERTIES, CheckResult, Outcome, Report, parse_automaton
 from rmc.cli import bundled_examples, main
 
 AB_WORD = """\
@@ -469,6 +469,40 @@ def test_algebra_complement_cap(tmp_path, capsys):
         assert f"argument --cap: must be a positive integer, got {value!r}" in err
 
 
+_A_TO_B_ONCE = """\
+type: transducer
+alphabet-top: a b
+alphabet-bottom: a b
+states: s0 s1
+initial: s0
+final: s1
+transitions:
+s0 a/b s1
+"""
+
+
+def test_algebra_project_and_inverse(tmp_path, capsys):
+    one = tmp_path / "one.t"
+    word = tmp_path / "word.nfa"
+    one.write_text(_A_TO_B_ONCE)
+    word.write_text(AB_WORD)
+    language = "type: nfa\nalphabet: a b\nstates: s0 s1\ninitial: s0\nfinal: s1\ntransitions:\n"
+    assert run(capsys, "algebra", "project", str(one)) == (0, language + "s0 a s1\n", "")
+    assert run(capsys, "algebra", "project", str(one), "--track", "2") == (
+        0, language + "s0 b s1\n", ""
+    )
+    assert run(capsys, "algebra", "inverse", str(one)) == (
+        0, _A_TO_B_ONCE.replace("a/b", "b/a"), ""
+    )
+    assert run(capsys, "algebra", "project", str(one), str(one)) == (
+        3, "", "error: algebra project takes one transducer file\n"
+    )
+    for op in ("project", "inverse"):
+        assert run(capsys, "algebra", op, str(word)) == (
+            3, "", f"error: {word}: {op} needs a transducer\n"
+        )
+
+
 def test_constraint_inductive_failure(capsys):
     code, out, _ = run(
         capsys,
@@ -494,6 +528,42 @@ def test_abstract_validate(capsys):
     assert code == 0
     data = json.loads(out)
     assert [c["passed"] for c in data["checks"]] == [True, True, True]
+
+
+def test_abstract_validate_names_the_pair_a_failed_check_lacks(tmp_path, capsys):
+    """preach turns at most one a into b, so it is not transitive: the
+    report names the least pair of preach;preach outside preach."""
+    preach = (
+        "type: transducer\nalphabet-top: a b\nalphabet-bottom: a b\nstates: s t\n"
+        "initial: s\nfinal: s t\ntransitions:\ns a/a s\ns b/b s\ns a/b t\nt a/a t\nt b/b t\n"
+    )
+    files = {
+        "all.nfa": "type: nfa\nalphabet: a b\nstates: q\ninitial: q\nfinal: q\n"
+        "transitions:\nq a q\nq b q\n",
+        "id.t": _IDENTITY,
+        "preach.t": preach,
+        "bundle.rts": "rts\nalphabet: a b\ninitial: file:all.nfa\ndelta: file:id.t\n"
+        "reach: file:id.t\npreach: file:preach.t\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run(capsys, "abstract", "validate", "--rts", str(tmp_path / "bundle.rts"))
+    assert (code, err) == (1, "")
+    assert out.startswith(
+        "VERDICT: FAILS\n"
+        "check identity-within-preach: ok\n"
+        "check delta-within-preach: ok\n"
+        "check preach-transitive: FAIL (a a to b b)\n"
+    )
+
+
+def test_a_failed_check_without_a_pair_renders_a_bare_fail():
+    report = Report(
+        command="abstract validate",
+        outcome=Outcome.FAILS,
+        checks=(CheckResult("delta-padding", False),),
+    )
+    assert report.render() == "VERDICT: FAILS\ncheck delta-padding: FAIL\nelapsed: 0 ms\n"
 
 
 def test_abstract_safety(capsys):
@@ -534,7 +604,7 @@ _CAPPED = [
      "--pre-of-goal", "tokens"),
     ("check", "ef", "--rts", "toggle", "--goal", "done"),
     # the bundle validates under cap 1; the check itself meets the cap
-    ("check", "egf-loop", "--rts", str(TEST_DATA / "fourth-from-end"), "--goal", "goal"),
+    ("check", "as-gf", "--rts", str(TEST_DATA / "fourth-from-end"), "--goal", "short-or-goal"),
     ("constraint", "inductive", "--interp", "ident.t", "--rts", "toggle", "--constraint", "a"),
 ]
 

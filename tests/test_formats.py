@@ -12,6 +12,7 @@ from rmc import (
     BundleValidationError,
     DeterminismViolation,
     ParseError,
+    load_automaton,
     load_rts_bundle,
     parse_automaton,
     serialize_automaton,
@@ -118,6 +119,68 @@ def test_parse_error_cases():
     assert "duplicate transition" in parse_error(
         "type: nfa\nalphabet: a\nstates: p\ninitial: p\nfinal: p\ntransitions:\np a p\np a p\n"
     )
+
+
+_NFA_A = "type: nfa\nalphabet: a\nstates: p\ninitial: p\nfinal: p\ntransitions:\n"
+_T_A = (
+    "type: transducer\nalphabet-top: a\nalphabet-bottom: a\n"
+    "states: p\ninitial: p\nfinal: p\ntransitions:\n"
+)
+_MEMBERS = {
+    "a.nfa": _NFA_A,
+    "ab.nfa": _NFA_A.replace("alphabet: a", "alphabet: a b"),
+    "a.t": _T_A + "p a/a p\n",
+    "ab.t": _T_A.replace(": a\n", ": a b\n") + "p a/a p\np b/b p\n",
+}
+
+# (file, its text, the line the error names or None, the message)
+_PARSE_ERRORS = [
+    ("x.nfa", "type: nfa\nalphabet a\n", 2, "expected a 'key: value' line, got 'alphabet a'"),
+    ("x.nfa", "type: nfa\nalphabet: a\n", None, "unexpected end of file, expected 'states:'"),
+    ("x.nfa", "type: nfa\nalphabet: a$\n", 2, "bad symbol token 'a$'"),
+    ("x.nfa", "type: nfa\nalphabet:\n", 2, "alphabet must not be empty"),
+    ("x.nfa", "type: nfa\nalphabet: a\nstates: p\ninitial: q\n", 4,
+     "initial state 'q' is not in the states list"),
+    ("x.nfa", "type: dfa\n", 1, "type must be 'nfa' or 'transducer', got 'dfa'"),
+    ("x.nfa", "type: nfa\ndeterministic: yes\n", 2,
+     "deterministic must be 'true' or 'false', got 'yes'"),
+    ("x.nfa", _NFA_A.replace("transitions:", "transitions: p a p"), 6,
+     "transitions: takes no value on its own line"),
+    ("x.nfa", _NFA_A + "p a\n", 7, "transition needs 'source symbol target', got 2 tokens"),
+    ("x.nfa", _NFA_A + "q a p\n", 7, "unknown source state 'q'"),
+    ("x.t", _T_A + "p a p\n", 8, "transducer label must be 'top/bottom', got 'a'"),
+    ("x.t", _T_A + "p b/a p\n", 8, "symbol 'b' is not in alphabet-top"),
+    ("x.t", _T_A + "p a/b p\n", 8, "symbol 'b' is not in alphabet-bottom"),
+    ("bundle.rts", "; a comment alone\n", None, "empty bundle file"),
+    ("bundle.rts", "system\n", 1, "bundle must start with 'rts', got 'system'"),
+    ("bundle.rts", "rts\nalphabet: a\ninitial: a.nfa\n", 3,
+     "initial: must name a member as file:NAME"),
+    ("bundle.rts", "rts\nalphabet: a\ninitial: file:\n", 3, "initial: names an empty file"),
+    ("bundle.rts", "rts\nalphabet: a\ninitial: file:a.nfa\n", None,
+     "bundle is missing the 'delta:' entry"),
+    ("bundle.rts", "rts\nalphabet: a\ndelta: file:a.t\n", None,
+     "bundle is missing the 'initial:' entry"),
+    ("bundle.rts", "rts\nalphabet: a\ninitial: file:a.t\ndelta: file:a.t\n", None,
+     "initial: must be an nfa, not a transducer"),
+    ("bundle.rts", "rts\nalphabet: a b\ninitial: file:a.nfa\ndelta: file:ab.t\n", None,
+     "initial: alphabet differs from the bundle alphabet"),
+    ("bundle.rts", "rts\nalphabet: a\ninitial: file:a.nfa\ndelta: file:a.nfa\n", None,
+     "delta: must be a transducer"),
+    ("bundle.rts", "rts\nalphabet: a b\ninitial: file:ab.nfa\ndelta: file:a.t\n", None,
+     "delta: tracks differ from the bundle alphabet"),
+]
+
+
+def test_each_parse_error_names_its_line(tmp_path):
+    for name, text in _MEMBERS.items():
+        (tmp_path / name).write_text(text)
+    for name, text, line, message in _PARSE_ERRORS:
+        (tmp_path / name).write_text(text)
+        load = load_rts_bundle if name.endswith(".rts") else load_automaton
+        with pytest.raises(ParseError) as info:
+            load(tmp_path / name)
+        assert info.value.line == line, text
+        assert str(info.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_deterministic_claim_verified():

@@ -12,6 +12,7 @@ from rmc import (
     PROPERTIES,
     Alphabet,
     AlphabetMismatch,
+    Nfa,
     RmcError,
     Rts,
     Witness,
@@ -27,6 +28,7 @@ from rmc import (
     check_egf_loop,
     diagonal,
     graph,
+    identity,
     identity_on,
     length_automaton,
     load_automaton,
@@ -99,6 +101,23 @@ def test_egf_loop_on_cycle():
     assert verdict.witness.kind == "lasso"
     assert check_egf(rts, universal_automaton(AB)).holds
     assert check_egf_loop(rts, words_nfa(AB, {("b", "b")})).fails
+
+
+@pytest.mark.parametrize("k", [8, 12, 16, 20, 40])
+def test_egf_loop_intersects_a_goal_it_could_not_determinize(monkeypatch, k):
+    """Every word stands still and the goal is "the k-th letter from the
+    end is a", whose subset construction has 2^k states.  The cycle route
+    only intersects the goal, so under a cap of 1,000 subsets both checks
+    answer with the least goal word, which steps to itself."""
+    monkeypatch.setenv("RMC_STATE_CAP", "1000")
+    transitions = {(0, "a"): (0, 1), (0, "b"): (0,)}
+    transitions.update({(i, sym): (i + 1,) for i in range(1, k) for sym in "ab"})
+    goal = Nfa(AB, range(k + 1), transitions, [0], [k])
+    rts = Rts(universal_automaton(AB), identity(AB), reach=identity(AB))
+    for name in ("egf-loop", "egf"):
+        verdict = run_check(rts, name, goal)
+        assert verdict.holds, name
+        assert verdict.witness == Witness("lasso", (("a",) * k,), loop_start=0), name
 
 
 def test_egf_clique_on_growing_walk():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmc import (
+    AlphabetMismatch,
     Nfa,
     PaddingViolation,
     StateCapExceeded,
@@ -18,6 +19,7 @@ from rmc import (
     diagonal,
     identity,
     identity_on,
+    length_automaton,
     load_automaton,
     load_rts_bundle,
     relation_difference_identity,
@@ -458,13 +460,13 @@ def _subset_count(side, alphabet) -> int:
 
 
 def test_lazy_sides_count_their_subsets_against_the_state_cap(monkeypatch):
-    """A search that steps a lazy side through every subset passes at a
-    cap of that many subsets and raises one below it."""
+    """A search that steps a lazy negative through every subset passes at
+    a cap of that many subsets and raises one below it.  Its positive
+    reads every word and accepts none, so the search walks them all."""
     rng = random.Random(73)
     checked = 0
-    never = lambda pos_final, hits: False  # noqa: E731
     for t, r in _lazy_cases(rng, 30):
-        everything = universal_automaton(t.top)
+        never = Nfa(t.top, (0,), {(0, a): (0,) for a in t.top.symbols}, [0], [])
         for side in (
             t.lazy_pre_image(random_nfa(rng, t.top, max_states=4)),
             t.lazy_round_trip(r),
@@ -474,11 +476,59 @@ def test_lazy_sides_count_their_subsets_against_the_state_cap(monkeypatch):
                 continue
             checked += 1
             monkeypatch.setenv("RMC_STATE_CAP", str(count))
-            assert constrained_search(everything, [side], never) is None
+            assert constrained_search([never], [side]) is None
             monkeypatch.setenv("RMC_STATE_CAP", str(count - 1))
             with pytest.raises(StateCapExceeded):
-                constrained_search(everything, [side], never)
+                constrained_search([never], [side])
     assert checked > 20
+
+
+def test_search_is_the_least_word_of_the_positives_minus_the_negatives():
+    """``constrained_search(P, N)`` gives the first word, in a scan of all
+    words up to length 5 shortest first and then in alphabet order, that
+    every positive accepts and, when N is not empty, some negative
+    rejects.  Random automata, lazy pre-images and lazy round trips each
+    serve on both sides, one to three positives against none to two
+    negatives."""
+    rng = random.Random(79)
+    up_to = 5
+    answered = empty = 0
+    for t, r in _lazy_cases(rng, 40):
+        alphabet = t.top
+        pool = [
+            random_nfa(rng, alphabet, max_states=4),
+            random_nfa(rng, alphabet, max_states=4),
+            t.lazy_pre_image(random_nfa(rng, alphabet, max_states=4)),
+            t.lazy_round_trip(r),
+        ]
+        words, _truncated = length_automaton(alphabet, up_to, upto=True).enumerate_words(10**4)
+        for n_pos, n_neg in ((1, 0), (1, 1), (2, 0), (2, 2), (3, 1)):
+            positives = rng.sample(pool, n_pos)
+            negatives = rng.sample(pool, n_neg)
+
+            def member(word):
+                return all(p.accepts(word) for p in positives) and not (
+                    negatives and all(n.accepts(word) for n in negatives)
+                )
+
+            expected = next(filter(member, words), None)
+            got = constrained_search(positives, negatives)
+            if expected is None:
+                assert got is None or (len(got) > up_to and member(got))
+            else:
+                assert got == expected
+            answered += expected is not None
+            empty += got is None
+    assert answered >= 50 and empty >= 50
+
+    only_a, only_b = words_nfa(AB, {("a",)}), words_nfa(AB, {("b",)})
+    assert constrained_search([only_a]) == ("a",)
+    assert constrained_search([only_a, only_b]) is None
+    assert constrained_search([universal_automaton(AB)], [only_a, only_b]) == ()
+    with pytest.raises(AlphabetMismatch):
+        constrained_search([only_a, universal_automaton(ABC)])
+    with pytest.raises(AlphabetMismatch):
+        constrained_search([only_a], [universal_automaton(A)])
 
 
 def _fresh(t):
