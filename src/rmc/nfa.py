@@ -10,6 +10,12 @@ word is :func:`constrained_search`: the least word of ∩P minus ∩N.  Only
 the negatives N are determinized, lazily, behind the state cap; the
 positives P are one nondeterministic product.
 
+Every product of two automata walks the state pairs that read one symbol
+on a shared middle track: :func:`_product` builds it, trimmed, and
+:func:`_lazy_product` explores it for a search.  Intersection reads each
+operand as its identity relation; composition and the images of
+:mod:`rmc.transducer` read a transducer by one of its tracks.
+
 State identifiers are arbitrary hashable values.  Constructions label
 their result states with tuples or integers.
 """
@@ -18,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 import os
-from collections import deque
 from typing import Callable, Hashable, Iterable, Sequence
 
 from . import graph
-from .alphabet import Alphabet, Word
+from .alphabet import PAD, Alphabet, PairSymbol, Word
 from .errors import AlphabetMismatch, RmcError, StateCapExceeded
 
 State = Hashable
@@ -240,35 +245,13 @@ class Nfa:
         return self._make(states, transitions, initial, final)
 
     def intersect(self, other: "Nfa") -> "Nfa":
-        """Product automaton over reachable state pairs; at most n1 * n2 states."""
+        """Product automaton over reachable state pairs, trimmed; at most
+        n1 * n2 states.  Each operand is read as its identity relation, so
+        this is the :func:`_product` that composition and the images use."""
         self._check_same_alphabet(other)
-        start = start_pairs(self, other)
-        seen = dict.fromkeys(start)
-        queue = deque(start)
-        transitions: dict = {}
-        while queue:
-            p, q = queue.popleft()
-            for sym in self.alphabet.symbols:
-                ps = self.transitions.get((p, sym))
-                if not ps:
-                    continue
-                qs = other.transitions.get((q, sym))
-                if not qs:
-                    continue
-                dsts = []
-                for p2 in ps:
-                    for q2 in qs:
-                        node = (p2, q2)
-                        dsts.append(node)
-                        if node not in seen:
-                            seen[node] = None
-                            queue.append(node)
-                transitions[((p, q), sym)] = tuple(dsts)
-        states = tuple(seen)
-        final = [
-            (p, q) for (p, q) in states if p in self.final and q in other.final
-        ]
-        return self._make(states, transitions, start, final)
+        middles = self.alphabet.symbols + (PAD,)
+        left, right = _moves_of_language(self), _moves_of_language(other)
+        return _product(type(self), self.alphabet, left, right, start_pairs(self, other), middles, 1)
 
     def complement(self, cap: int | None = None) -> "Nfa":
         """Complement via subset construction.
@@ -331,13 +314,16 @@ class Nfa:
         """The accepted words of ``length`` in alphabet order, or None when
         there are more than ``limit`` of them.
 
-        They are counted first, so a length over the limit is refused
-        before any is listed.  The listing walks the subsets depth first,
-        each pruned to the states that can still accept in exactly the
-        steps left, so every branch it takes ends in a word.
+        They are counted first, so a length over the limit or with no word
+        is answered before any is listed.  The listing walks the subsets
+        depth first, each pruned to the states that can still accept in
+        exactly the steps left, so every branch it takes ends in a word.
         """
-        if self.count_words(length) > limit:
+        count = self.count_words(length)
+        if count > limit:
             return None
+        if not count:
+            return []
         back: dict = {}
         for (q, _sym), dsts in self.transitions.items():
             for r in dsts:
@@ -367,7 +353,8 @@ class Nfa:
         """The number of accepted words of ``length``.
 
         Counts runs of the subset construction, which is deterministic, so
-        the work grows with the subsets met, not with the words.
+        the work grows with the subsets met, not with the words, and stops
+        at the first length no word reaches.
         """
         subsets = _Subsets(self, _state_cap(None))
         level = {subsets.start: 1}
@@ -378,6 +365,8 @@ class Nfa:
                     stepped = subsets.step(subset, sym)
                     if stepped:
                         nxt[stepped] = nxt.get(stepped, 0) + count
+            if not nxt:
+                return 0
             level = nxt
         return sum(count for subset, count in level.items() if subsets.final(subset))
 
@@ -541,6 +530,113 @@ def constrained_search(positives: Sequence, negatives: Sequence = ()) -> tuple |
                 following.append((longer, fresh, stepped))
         level = following
     return None
+
+
+# -- products over a shared middle track --------------------------------------------
+
+
+# the state a side of a product moves to once its words have ended; a
+# private object, so it equals no state of a caller's automaton
+_DONE = object()
+
+# the (#, #) move to DONE that every final state and DONE itself make; one
+# tuple shared by every index
+_DONE_MOVE = ((PAD, (_DONE,)),)
+
+
+def _moves_of_language(language: Nfa) -> dict:
+    """Index a word language as :func:`~rmc.transducer._moves_by_middle`
+    indexes its identity relation: each move writes the symbol it reads,
+    so :func:`_product` reads a language as a transducer.  Built for each
+    product: a language keeps nothing."""
+    index: dict = {}
+    for (q, sym), dsts in language.transitions.items():
+        index.setdefault(q, {})[sym] = ((sym, dsts),)
+    return _with_done(index, language.final)
+
+
+def _with_done(index: dict, final) -> dict:
+    """Add the (#, #) move to DONE to every final state and to DONE itself."""
+    for q in (*final, _DONE):
+        moves = index.setdefault(q, {})
+        found = moves.get(PAD)
+        moves[PAD] = found + _DONE_MOVE if found else _DONE_MOVE
+    return index
+
+
+def _node_moves(left: dict, right: dict, node: tuple, middles: tuple, track: int) -> list:
+    """The moves of one node of :func:`_product` as (label, target pairs),
+    in the order it finds them; label # marks a move that writes only #."""
+    moves: list = []
+    p, q = node
+    from_p = left.get(p)
+    from_q = right.get(q)
+    if from_p is None or from_q is None:
+        return moves
+    for b in middles:
+        rights = from_q.get(b)
+        if rights is None:
+            continue
+        for a, p_dsts in from_p.get(b, ()):
+            for c, q_dsts in rights:
+                if track == 2:
+                    label = c
+                elif track == 1:
+                    label = a
+                else:
+                    label = PAD if a == c == PAD else PairSymbol(a, c)
+                moves.append((label, [(p2, q2) for p2 in p_dsts for q2 in q_dsts]))
+    return moves
+
+
+def _product(kind, alphabet, left: dict, right: dict, start: list, middles: tuple, track: int):
+    """One breadth-first pass over the state pairs reachable from ``start``,
+    both sides reading the same middle symbol, or # once the middle word
+    has ended; each side is indexed by
+    :func:`~rmc.transducer._moves_by_middle` or :func:`_moves_of_language`.
+    Intersection, composition and both images are this product.
+
+    A move writes the pair of outer symbols (track 0), the left side's
+    (track 1) or the right side's (track 2).  A move that writes only #,
+    on the kept track or on both for track 0, adds nothing the result
+    reads: it only decides acceptance, which is one closure back from
+    (DONE, DONE) over such moves.  Returns the trimmed automaton of
+    ``kind`` over ``alphabet`` whose states are the pairs in the order found.
+    """
+    # ``order`` grows while it is walked, which makes this breadth-first
+    order = list(start)
+    seen = set(start)
+    transitions: dict = {}
+    silent_back: dict = {}
+    for node in order:
+        for label, targets in _node_moves(left, right, node, middles, track):
+            if label == PAD:
+                for target in targets:
+                    silent_back.setdefault(target, []).append(node)
+            else:
+                transitions.setdefault((node, label), []).extend(targets)
+            for target in targets:
+                if target not in seen:
+                    seen.add(target)
+                    order.append(target)
+    final = graph.closure([(_DONE, _DONE)], lambda n: silent_back.get(n, ()))
+    return kind._trusted(alphabet, order, transitions, start, final & seen).trim()
+
+
+def _lazy_product(alphabet, left, right, start, middles, track, read=None) -> LazyNfa:
+    """The language of :func:`_product`, explored only where a search steps
+    it; ``read`` maps a label to the symbol read, or to None to drop it."""
+
+    def moves(node) -> dict:
+        found: dict = {}
+        for label, targets in _node_moves(left, right, node, middles, track):
+            if read is not None and label != PAD:
+                label = read(label)
+            if label is not None:
+                found.setdefault(label, []).extend(targets)
+        return found
+
+    return LazyNfa(alphabet, start, moves, PAD, (_DONE, _DONE))
 
 
 # -- stock automata ------------------------------------------------------------------

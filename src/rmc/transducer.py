@@ -8,19 +8,22 @@ never reads a real symbol after padding on the same track; see
 
 The relation algebra lives here: inversion, track projection, relational
 composition, and forward/backward images of regular languages.  Inverse
-and projection keep the state set.  Composition and the images are one
-breadth-first product each (:func:`_product`); composition builds at most
+and projection keep the state set.  Composition and the images are each
+the kernel's one breadth-first product (:func:`rmc.nfa._product`, which
+intersection uses too), and come back trimmed; composition builds at most
 (l1 + 1) * (l2 + 1) states before trimming, one extra per side for a side
 whose words have ended; an image of an n-state language under an l-state
 transducer has at most (n + 1) * l.  Projection and composition assume
 padding-valid operands, which loading checks.
 
-Pre-images and round trips also come lazily, for a search.  Built or
-lazy, a product moves by :func:`_node_moves` and a pair accepts when moves
-writing only # lead it to (DONE, DONE): padding is defined once for both.
-Each transducer keeps its index for each track it is read by, so the
-products of one check with the same ``reach`` and ``delta`` index them once;
-a language operand is indexed afresh for each product.
+Pre-images and round trips also come lazily, for a search
+(:func:`rmc.nfa._lazy_product`).  Built or lazy, a product moves by
+:func:`rmc.nfa._node_moves` and a pair accepts when moves writing only #
+lead it to (DONE, DONE): padding is defined once for both.  Each
+transducer keeps its index for each track it is read by
+(:func:`_moves_by_middle`), so the products of one check with the same
+``reach`` and ``delta`` index them once; a language operand is indexed
+afresh for each product.
 """
 
 from __future__ import annotations
@@ -29,21 +32,14 @@ from . import graph
 from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word, convolve
 from .errors import AlphabetMismatch, PaddingViolation
 from .nfa import LazyNfa, Nfa, start_pairs, universal_automaton
-
-# the state a composed side moves to once its words have ended; a private
-# object, so it equals no state of a caller's transducer
-_DONE = object()
-
-# the (#, #) move to DONE that every final state and DONE itself make; one
-# tuple shared by every index
-_DONE_MOVE = ((PAD, (_DONE,)),)
+from .nfa import _lazy_product, _moves_of_language, _product, _with_done
 
 
 def _moves_by_middle(t: "Transducer", middle: int) -> dict:
     """Index ``t`` for a product that reads its track ``middle`` (0 for
     top, 1 for bottom) and writes the other: state to middle symbol (or #)
     to a tuple of (outer symbol or #, targets), in transition order, plus
-    the DONE moves of :func:`_with_done`.
+    the DONE moves of :func:`rmc.nfa._with_done`.
 
     The index is built on first use and kept on ``t``, which never changes
     after construction, so every product that reads ``t`` by that track
@@ -62,99 +58,6 @@ def _index_by_middle(t: "Transducer", middle: int) -> dict:
         for b, found in moves.items():
             moves[b] = tuple(found)
     return _with_done(index, t.final)
-
-
-def _moves_of_language(language: Nfa) -> dict:
-    """Index a word language as :func:`_moves_by_middle` indexes its
-    identity relation: each move writes the symbol it reads.  Built for
-    each product: a language keeps nothing."""
-    index: dict = {}
-    for (q, sym), dsts in language.transitions.items():
-        index.setdefault(q, {})[sym] = ((sym, dsts),)
-    return _with_done(index, language.final)
-
-
-def _with_done(index: dict, final) -> dict:
-    """Add the (#, #) move to DONE to every final state and to DONE itself."""
-    for q in (*final, _DONE):
-        moves = index.setdefault(q, {})
-        found = moves.get(PAD)
-        moves[PAD] = found + _DONE_MOVE if found else _DONE_MOVE
-    return index
-
-
-def _node_moves(left: dict, right: dict, node: tuple, middles: tuple, track: int) -> list:
-    """The moves of one node of :func:`_product` as (label, target pairs),
-    in the order it finds them; label # marks a move that writes only #."""
-    moves: list = []
-    p, q = node
-    from_p = left.get(p)
-    from_q = right.get(q)
-    if from_p is None or from_q is None:
-        return moves
-    for b in middles:
-        rights = from_q.get(b)
-        if rights is None:
-            continue
-        for a, p_dsts in from_p.get(b, ()):
-            for c, q_dsts in rights:
-                if track == 2:
-                    label = c
-                elif track == 1:
-                    label = a
-                else:
-                    label = PAD if a == c == PAD else PairSymbol(a, c)
-                moves.append((label, [(p2, q2) for p2 in p_dsts for q2 in q_dsts]))
-    return moves
-
-
-def _product(kind, alphabet, left: dict, right: dict, start: list, middles: tuple, track: int):
-    """One breadth-first pass over the state pairs reachable from ``start``,
-    both sides reading the same middle symbol, or # once the middle word
-    has ended; each side is indexed by :func:`_moves_by_middle` or
-    :func:`_moves_of_language`.
-
-    A move writes the pair of outer symbols (track 0), the left side's
-    (track 1) or the right side's (track 2).  A move that writes only #,
-    on the kept track or on both for track 0, adds nothing the result
-    reads: it only decides acceptance, which is one closure back from
-    (DONE, DONE) over such moves.  Returns the trimmed automaton of
-    ``kind`` over ``alphabet`` whose states are the pairs in the order found.
-    """
-    # ``order`` grows while it is walked, which makes this breadth-first
-    order = list(start)
-    seen = set(start)
-    transitions: dict = {}
-    silent_back: dict = {}
-    for node in order:
-        for label, targets in _node_moves(left, right, node, middles, track):
-            if label == PAD:
-                for target in targets:
-                    silent_back.setdefault(target, []).append(node)
-            else:
-                transitions.setdefault((node, label), []).extend(targets)
-            for target in targets:
-                if target not in seen:
-                    seen.add(target)
-                    order.append(target)
-    final = graph.closure([(_DONE, _DONE)], lambda n: silent_back.get(n, ()))
-    return kind._trusted(alphabet, order, transitions, start, final & seen).trim()
-
-
-def _lazy_product(alphabet, left, right, start, middles, track, read=None) -> LazyNfa:
-    """The language of :func:`_product`, explored only where a search steps
-    it; ``read`` maps a label to the symbol read, or to None to drop it."""
-
-    def moves(node) -> dict:
-        found: dict = {}
-        for label, targets in _node_moves(left, right, node, middles, track):
-            if read is not None and label != PAD:
-                label = read(label)
-            if label is not None:
-                found.setdefault(label, []).extend(targets)
-        return found
-
-    return LazyNfa(alphabet, start, moves, PAD, (_DONE, _DONE))
 
 
 def _pair_alphabet(top: Alphabet, bottom: Alphabet, *known: PairAlphabet) -> PairAlphabet:
@@ -413,5 +316,5 @@ def relation_difference_identity(t: Transducer) -> Transducer:
     """The relation minus all identity pairs (u, u)."""
     if t.top != t.bottom:
         raise AlphabetMismatch("identity removal needs equal track alphabets")
-    return t.intersect(identity(t.top).complement()).trim()
+    return t.intersect(identity(t.top).complement())
 

@@ -317,6 +317,24 @@ def test_python_m_rmc_is_the_command_line(capsys):
     assert "VERDICT: HOLDS" in out
 
 
+def test_lengths_without_words_cost_nothing_per_length():
+    """``toggle``'s initial words have length 1, so a bounded check to
+    length 20,000 slices 19,999 lengths that hold no word.  Counting the
+    words of each stops at the first length no word reaches; counting on
+    to the end took minutes, well past the timeout."""
+    argv = ["check", "af", "--rts", "toggle", "--goal", "done", "--max-length", "20000"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "rmc", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "note: all initial configurations have length at most 20000" in done.stdout
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "many"])
 def test_runs_are_checked_when_parsed(capsys, value):
     code, out, err = run(capsys, "simulate", "--rts", "toggle", "--from", "a", "--runs", value)

@@ -19,7 +19,8 @@ from rmc import (
     universal_automaton,
     word_automaton,
 )
-from support import AB, ABC, mk_nfa, random_nfa, words_nfa
+from rmc.nfa import start_pairs
+from support import A, AB, ABC, mk_nfa, random_nfa, random_padded_transducer, words_nfa
 
 
 def all_words(alphabet, up_to):
@@ -233,3 +234,57 @@ def test_is_deterministic():
     assert not nondet.is_deterministic()
     two_initial = mk_nfa(AB, [("p", "a", "q")], ["p", "q"], ["q"])
     assert not two_initial.is_deterministic()
+
+
+def _pair_queue_intersect(x, y):
+    """The reference intersection: a breadth-first queue of the state
+    pairs both operands reach by one symbol, dead pairs kept."""
+    start = start_pairs(x, y)
+    order = list(start)
+    transitions: dict = {}
+    for p, q in order:
+        for sym in x.alphabet.symbols:
+            targets = [
+                (p2, q2)
+                for p2 in x.transitions.get((p, sym), ())
+                for q2 in y.transitions.get((q, sym), ())
+            ]
+            if targets:
+                transitions[((p, q), sym)] = targets
+                order += [pair for pair in dict.fromkeys(targets) if pair not in order]
+    final = [(p, q) for p, q in order if p in x.final and q in y.final]
+    return x._make(order, transitions, start, final)
+
+
+def _intersection_cases():
+    """Random NFA pairs over A, AB and ABC, random NFAs with a length
+    automaton, and random transducers with their inverses."""
+    rng = random.Random(71)
+    for alphabet in (A, AB, ABC):
+        for _ in range(100):
+            yield random_nfa(rng, alphabet, max_states=6), random_nfa(rng, alphabet, max_states=6)
+            nfa = random_nfa(rng, alphabet, max_states=6)
+            yield nfa, length_automaton(alphabet, rng.randint(0, 4))
+            t = random_padded_transducer(rng, alphabet, alphabet)
+            yield t, t.inverse()
+
+
+def test_intersect_is_the_trimmed_pair_product():
+    """Same states in the same order, same transitions, initial and final
+    states as the pair-queue product trimmed, so every witness read off
+    an intersection stays the same; only dead pairs go."""
+    trimmed = 0
+    for x, y in _intersection_cases():
+        reference = _pair_queue_intersect(x, y)
+        assert x.intersect(y) == reference.trim()
+        trimmed += len(reference.states) != len(reference.trim().states)
+    assert trimmed > 100
+
+
+def test_intersect_drops_a_dead_pair():
+    x = mk_nfa(AB, [("p", "a", "q"), ("p", "b", "r"), ("r", "a", "r")], ["p"], ["q"])
+    product = x.intersect(universal_automaton(AB))
+    assert product.states == (("p", 0), ("q", 0))
+    assert product.transitions == {(("p", 0), "a"): (("q", 0),)}
+    assert (product.initial, product.final) == ({("p", 0)}, {("q", 0)})
+    assert len(_pair_queue_intersect(x, universal_automaton(AB)).states) == 3

@@ -13,8 +13,10 @@ from rmc import (
     Alphabet,
     AlphabetMismatch,
     Nfa,
+    Outcome,
     RmcError,
     Rts,
+    Verdict,
     Witness,
     check_af_bounded,
     check_agf_bounded,
@@ -27,6 +29,7 @@ from rmc import (
     check_egf_clique,
     check_egf_loop,
     diagonal,
+    empty_automaton,
     graph,
     identity,
     identity_on,
@@ -287,6 +290,39 @@ def test_locate_finds_a_path_inside_a_slice_over_the_cap():
     rts = Rts(words_nfa(AB, {start}), flip)
     target = ("b",) + start[1:]
     assert _locate(rts, target) == Witness("path", (start, target))
+
+
+@pytest.mark.parametrize("initial, reach, note", [
+    (empty_automaton(A), GROW, "the reachable set is empty"),
+    # reach relates only (ε, a) and (a, ε): a is reachable, but no pair
+    # of the chain reads a letter on both tracks
+    (
+        words_nfa(A, {()}),
+        mk_t(A, A, [("s", "#/a", "t"), ("s", "a/#", "u")], ["s"], ["t", "u"]),
+        "no reachable configuration starts a comb",
+    ),
+    # ε starts a comb, but the identity never pads its top track
+    (words_nfa(A, {()}), identity(A), "no comb of reachable configurations can grow forever"),
+])
+def test_egf_clique_names_why_no_chain_was_found(initial, reach, note):
+    verdict = check_egf_clique(Rts(initial, SUCC, reach=reach), universal_automaton(A))
+    assert verdict == Verdict(Outcome.FAILS, note=note)
+
+
+def test_locate_falls_back_to_a_pair_when_the_witness_slice_is_capped(monkeypatch):
+    """Under a witness cap of 4, the slice search stops before it starts
+    when more than 4 initial words have the target's length, and as soon
+    as a configuration has more than 4 successors."""
+    every = mk_t(AB, AB, [("s", f"{x}/{y}", "s") for x in "ab" for y in "ab"], ["s"], ["s"])
+    bbb = ("b",) * 3
+    many_starts = Rts(length_automaton(AB, 3), identity(AB), reach=identity(AB))
+    many_successors = Rts(words_nfa(AB, {("a",) * 3}), every, reach=every)
+    goal = words_nfa(AB, {bbb})
+    assert check_ef(many_starts, goal).witness == Witness("path", (bbb,))
+    assert check_ef(many_successors, goal).witness == Witness("path", (("a",) * 3, bbb))
+    monkeypatch.setattr("rmc.procedures._WITNESS_SLICE_CAP", 4)
+    assert check_ef(many_starts, goal).witness == Witness("pair", (bbb, bbb))
+    assert check_ef(many_successors, goal).witness == Witness("pair", (("a",) * 3, bbb))
 
 
 def test_run_check_dispatch_and_errors():

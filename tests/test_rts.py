@@ -8,6 +8,7 @@ import pytest
 
 from rmc import (
     AlphabetMismatch,
+    CheckResult,
     MissingRelation,
     Rts,
     SuccessorCapExceeded,
@@ -59,6 +60,19 @@ def test_alphabet_guards():
     mixed = mk_t(AB, A, [("s", "a/a", "s")], ["s"], ["s"])
     with pytest.raises(AlphabetMismatch):
         Rts(words_nfa(A, {("a",)}), mixed)
+
+
+@pytest.mark.parametrize("relation", ["reach", "preach"])
+def test_relations_must_be_over_the_step_alphabet(relation):
+    with pytest.raises(AlphabetMismatch, match=f"^{relation} relation alphabet differs"):
+        Rts(words_nfa(AB, {("a",)}), SHIFT, **{relation: identity(A)})
+
+
+def test_validate_reports_a_step_relation_that_resumes_a_padded_track():
+    # #/a then a/a reads a top letter after the top track has ended
+    resumed = mk_t(A, A, [("s", "#/a", "t"), ("t", "a/a", "t")], ["s"], ["t"])
+    report = Rts(words_nfa(A, {("a",)}), resumed).validate()
+    assert report.checks == (CheckResult("delta-padding", False),)
 
 
 def test_relation_selection():

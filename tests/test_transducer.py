@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmc import (
+    Alphabet,
     AlphabetMismatch,
     Nfa,
+    PairAlphabet,
     PaddingViolation,
     StateCapExceeded,
     Transducer,
@@ -167,6 +169,52 @@ def test_padded_relation_laws_brute_force():
         assert {x for x in short if pre.accepts(x)} == {
             x for (x, y) in r1 if lang.accepts(y)
         }
+
+
+def test_compose_and_inverse_across_track_alphabets():
+    """A relation from {a, b} to {x, y} composed with one from {x, y} to
+    {p}, against enumeration as in the padded laws above, and each
+    inverse; the pair alphabets come out new and with the right tracks."""
+    xy, p = Alphabet(["x", "y"]), Alphabet(["p"])
+    rng = random.Random(59)
+    short = list(all_words(AB, 3))
+    middle, far = list(all_words(xy, 6)), list(all_words(p, 3))
+
+    def pairs(t, tops, bottoms):
+        return {(x, y) for x in tops for y in bottoms if t.accepts_pair(x, y)}
+
+    for _ in range(20):
+        t1 = random_padded_transducer(rng, AB, xy)
+        t2 = random_padded_transducer(rng, xy, p)
+        composed = t1.compose(t2)
+        assert composed.alphabet == PairAlphabet(AB, p)
+        r1, r2 = pairs(t1, short, middle), pairs(t2, middle, far)
+        assert pairs(composed, short, far) == {
+            (x, z) for (x, y) in r1 for (y2, z) in r2 if y == y2
+        }
+        inverse = t1.inverse()
+        assert inverse.alphabet == PairAlphabet(xy, AB)
+        assert relation(inverse) == {(y, x) for (x, y) in relation(t1)}
+
+
+def test_operands_over_the_wrong_alphabet_are_refused():
+    xy = Alphabet(["x", "y"])
+    to_xy = mk_t(AB, xy, [("s", "a/x", "s")], ["s"], ["s"])
+    refusals = [
+        (lambda: to_xy.compose(to_xy),
+         "composition needs the first bottom alphabet to equal the second top"),
+        (lambda: to_xy.post_image(universal_automaton(xy)),
+         "language alphabet differs from the top track"),
+        (lambda: to_xy.pre_image(universal_automaton(AB)),
+         "language alphabet differs from the bottom track"),
+        (lambda: to_xy.lazy_pre_image(universal_automaton(AB)),
+         "language alphabet differs from the bottom track"),
+        (lambda: identity_on(to_xy), "identity_on needs a plain word language"),
+    ]
+    for operation, message in refusals:
+        with pytest.raises(AlphabetMismatch) as raised:
+            operation()
+        assert str(raised.value) == message
 
 
 # random_padded_transducer with max_states=4 has one state per phase
