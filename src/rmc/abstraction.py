@@ -65,9 +65,8 @@ def is_inductive(
     """Is the constraint's configuration set closed under the step
     relation?  On failure returns a step (c, c') leaving the set."""
     satisfying = constraint_set(interp, constraint)
-    stepped = rts.delta.post_image(satisfying)
-    ok, escape = satisfying.includes(stepped)
-    if ok:
+    escape = constrained_search([rts.delta.lazy_post_image(satisfying)], [satisfying])
+    if escape is None:
         return True, None
     leaving = rts.delta.lazy_pre_image(word_automaton(rts.alphabet, escape))
     return False, (constrained_search([leaving, satisfying]), escape)

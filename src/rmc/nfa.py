@@ -1,8 +1,8 @@
 """Nondeterministic finite automata with deterministic witness reporting.
 
 All operations are pure: they build and return new automata, never mutate.
-An automaton is immutable after construction, which lets a transducer keep
-what it derives from itself alone (:class:`~rmc.transducer.Transducer`).
+An automaton is immutable after construction, so what it derives from
+itself alone, its search view or a transducer's indexes, is kept on it.
 Reported witnesses (shortest accepted word, shortest inclusion
 counterexample) are always of minimal length with ties broken by alphabet
 order, so repeated runs produce identical output.  Every search for a
@@ -66,7 +66,7 @@ class Nfa:
     states, kept sorted by state position so iteration order is stable.
     """
 
-    __slots__ = ("alphabet", "states", "transitions", "initial", "final", "_pos")
+    __slots__ = ("alphabet", "states", "transitions", "initial", "final", "_pos", "_derived")
 
     def __init__(
         self,
@@ -123,6 +123,16 @@ class Nfa:
         self.initial = initial
         self.final = final
         self._pos = pos
+
+    def _derive(self, key, build):
+        """The value ``build()`` derives from this automaton, built once.
+        ``_derived`` is unset until the first, so most automata carry none."""
+        derived = getattr(self, "_derived", None)
+        if derived is None:
+            derived = self._derived = {}
+        if key not in derived:
+            derived[key] = build()
+        return derived[key]
 
     # -- construction helpers -------------------------------------------------
 
@@ -191,13 +201,17 @@ class Nfa:
 
     def _view(self) -> tuple:
         """``(moves, accepting, initial)`` as a search reads them, states by
-        position: ``moves[i]`` maps a symbol to the successors of state i."""
-        pos = self._pos
-        moves: list = [{} for _ in self.states]
-        for (q, sym), dsts in self.transitions.items():
-            moves[pos[q]][sym] = tuple(pos[r] for r in dsts)
-        accepting = [q in self.final for q in self.states]
-        return moves, accepting, frozenset(pos[q] for q in self.initial)
+        position: ``moves[i]`` maps a symbol to the successors of state i.
+        Built once per automaton; searches only read it."""
+        def build() -> tuple:
+            pos = self._pos
+            moves: list = [{} for _ in self.states]
+            for (q, sym), dsts in self.transitions.items():
+                moves[pos[q]][sym] = tuple(pos[r] for r in dsts)
+            accepting = [q in self.final for q in self.states]
+            return moves, accepting, frozenset(pos[q] for q in self.initial)
+
+        return self._derive("view", build)
 
     # -- reachability and trimming ---------------------------------------------
 

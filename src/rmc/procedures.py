@@ -6,7 +6,8 @@ length up to a bound and answer Unknown when the bound cannot be shown
 exhaustive.  All of them return a Verdict whose witness, when present,
 names concrete configurations.
 
-Each configuration a symbolic check reports is one search,
+Each configuration a symbolic check reports, save those the growth
+route's comb walk spells (:func:`check_egf_clique`), is one search,
 :func:`~rmc.nfa.constrained_search`: the reachable set and the goal are
 its positives, the languages every reachable configuration must be in
 its negatives, and only those meet the state cap.
@@ -27,10 +28,10 @@ from typing import Callable
 from . import graph
 from .alphabet import PAD, Word
 from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, RmcError
-from .nfa import Nfa, constrained_search, length_automaton, word_automaton
+from .nfa import Nfa, constrained_search, word_automaton
 from .oracle import build_slice, oracle_check
 from .rts import Rts
-from .transducer import Transducer, identity_on
+from .transducer import _moves_by_middle, identity_on
 from .verdict import Verdict, Witness, fails, holds, unknown
 
 DEFAULT_BOUND = 8
@@ -123,8 +124,13 @@ def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
     finite length class.
     """
     _check_goal(rts, goal)
+    return _egf_loop(rts, goal, rts.reachable_set())
+
+
+def _egf_loop(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
+    """The cycle route on the reachable set ``reachable``."""
     relation = rts.relation()
-    config = constrained_search([rts.reachable_set(), goal, rts.delta.lazy_round_trip(relation)])
+    config = constrained_search([reachable, goal, rts.delta.lazy_round_trip(relation)])
     if config is None:
         return fails(note="no reachable goal configuration lies on a cycle")
     if rts.delta.accepts_pair(config, config):
@@ -133,22 +139,11 @@ def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
             note="the loop is a single step of the system",
         )
     here = word_automaton(rts.alphabet, config)
-    via = constrained_search([rts.delta.post_image(here), relation.lazy_pre_image(here)])
+    via = constrained_search([rts.delta.lazy_post_image(here), relation.lazy_pre_image(here)])
     return holds(
         witness=Witness("lasso", (config, via), loop_start=0),
         note="loop steps are reachability-relation hops",
     )
-
-
-def _pair_index(t: Transducer):
-    real: dict = {}
-    pad_bottom: dict = {}
-    for (q, sym), dsts in t.transitions.items():
-        if sym.top == PAD:
-            pad_bottom.setdefault((q, sym.bottom), []).extend(dsts)
-        elif sym.bottom != PAD:
-            real.setdefault((q, sym.top, sym.bottom), []).extend(dsts)
-    return real, pad_bottom
 
 
 def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
@@ -160,93 +155,73 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
     prefix and tail grow in lockstep, so it can miss chains that exist
     in some other shape; a Fails verdict means no comb of this shape was
     found.  Length-preserving systems have no growing chains at all, so
-    they fail this route immediately.
+    they fail this route immediately.  One breadth-first walk finds the
+    comb's entries and each comb node's edges; the witness follows the
+    comb in state order, so it is not a search's least word.
     """
     _check_goal(rts, goal)
     if rts.length_preserving:
-        return fails(
-            note="the growth route does not apply to length-preserving systems"
-        )
+        return fails(note="the growth route does not apply to length-preserving systems")
+    return _egf_clique(rts, goal, rts.reachable_set())
+
+
+def _egf_clique(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
+    """The growth route on the reachable set ``reachable``."""
     chain = rts.relation().compose(identity_on(goal))
     if chain.is_empty():
         return fails(note="no reachability pair lands in the goal")
-    reach_lang = rts.reachable_set()
-    if not reach_lang.states:
+    if not reachable.states:
         return fails(note="the reachable set is empty")
+    index, symbols = _moves_by_middle(chain, 0), rts.alphabet.symbols
 
-    real, pad_bottom = _pair_index(chain)
-    final = chain.final
-    symbols = rts.alphabet.symbols
-
-    def explore(parents: dict, labels: dict, first_step: dict):
-        """Breadth-first from the roots in ``parents`` over state triples:
-        the first component reads a top-track letter x through
-        ``first_step``, the second runs the chain relation from x to a
-        bottom-track letter y, and the third runs it diagonally on y.
-        Yields every edge as (source, target, (x, y)) and records the tree
-        edge into each newly found state in ``parents`` and ``labels``."""
-        queue = list(parents)
-        head = 0
-        while head < len(queue):
-            source = queue[head]
-            head += 1
-            a, b, c = source
+    def walk(step: Callable, accepting, roots) -> tuple[dict, dict]:
+        """Breadth-first from ``roots`` over state triples: the first reads
+        a top-track letter x by ``step(state, x)``, the second runs the chain
+        from x to a bottom-track letter y, and the third runs it on (y, y).
+        Maps the last two states of each triple whose first is ``accepting``
+        to the words spelled into it, the first met: ``reached`` takes
+        triples as found, roots first with no words, and ``entered`` moves
+        as walked, so a root only once a move enters it."""
+        found = dict.fromkeys(roots, ((), ()))
+        reached, entered = {}, {}
+        # ``order`` grows while it is walked, which makes this breadth-first
+        order = list(found)
+        for a, b, c in order:
+            xs, ys = found[a, b, c]
+            if a in accepting:
+                reached.setdefault((b, c), (xs, ys))
             for x in symbols:
-                a_next = first_step.get((a, x))
-                if not a_next:
-                    continue
+                a_next = step(a, x)
+                by_bottom = dict(index[b].get(x, ())) if a_next else {}
                 for y in symbols:
-                    b_next = real.get((b, x, y))
-                    if not b_next:
-                        continue
-                    c_next = real.get((c, y, y))
-                    if not c_next:
-                        continue
-                    for target in itertools.product(a_next, b_next, c_next):
-                        yield source, target, (x, y)
-                        if target not in parents:
-                            parents[target] = source
-                            labels[target] = (x, y)
-                            queue.append(target)
+                    b_next = by_bottom.get(y)
+                    c_next = b_next and dict(index[c].get(y, ())).get(y)
+                    for target in itertools.product(a_next, b_next, c_next) if c_next else ():
+                        words = (xs + (x,), ys + (y,))
+                        if target[0] in accepting:
+                            entered.setdefault(target[1:], words)
+                        if target not in found:
+                            found[target] = words
+                            order.append(target)
+        return reached, entered
 
-    def spelled(parents: dict, labels: dict, state) -> tuple[Word, Word]:
-        """The top- and bottom-track words read on the way into ``state``."""
-        letters = [labels[v] for v in graph.path_to(parents, state)[1:]]
-        return tuple(x for x, _y in letters), tuple(y for _x, y in letters)
-
-    # stage one: read a reachable word on the top track while running the
-    # chain relation against a same-length prospective prefix on the bottom
-    # track, and the prefix against itself diagonally; the roots come in
-    # state order, so the witness does not depend on set iteration order
+    # stage one: the comb's entries, reachable words against same-length prefixes
+    # in the chain's diagonal; roots in state order, so no set order shows
     starts = [q for q in chain.states if q in chain.initial]
-    stage_parents = dict.fromkeys(itertools.product(
-        [s for s in reach_lang.states if s in reach_lang.initial], starts, starts
-    ))
-    stage_labels: dict = {}
-    for _edge in explore(stage_parents, stage_labels, reach_lang.transitions):
-        pass
-    entry_nodes: dict = {}
-    for s, b, c in stage_parents:
-        if s in reach_lang.final:
-            entry_nodes.setdefault((b, c), (s, b, c))
-    if not entry_nodes:
+    firsts = [s for s in reachable.states if s in reachable.initial]
+    roots = itertools.product(firsts, starts, starts)
+    entries, _ = walk(lambda s, x: reachable.transitions.get((s, x)), reachable.final, roots)
+    if not entries:
         return fails(note="no reachable configuration starts a comb")
 
+    # stage two: comb node (p, q)'s edges are the chain's (#, x) moves past the
+    # end of its configuration; ``comb`` is filled once per node, read sorted
     def edges_from(node):
-        q1, q2 = node
-        parents: dict = {(q1, q2, q2): None}
-        labels: dict = {}
-        out: dict = {}
-        for source, (a2, b2, c2), (x, y) in explore(parents, labels, pad_bottom):
-            if a2 in final and (b2, c2) not in out:
-                xs, ys = spelled(parents, labels, source)
-                out[(b2, c2)] = (xs + (x,), ys + (y,))
-        return out
+        p, q = node
+        return walk(lambda r, x: dict(index[r].get(PAD, ())).get(x), chain.final, [(p, q, q)])[1]
 
-    # stage two: saturate the comb graph from the entry nodes; the closure
-    # visits each node once, and ``comb`` is read in sorted order
     comb: dict = {}
-    graph.closure(entry_nodes, lambda node: comb.setdefault(node, edges_from(node)))
+    graph.closure(entries, lambda node: comb.setdefault(node, edges_from(node)))
     nodes = sorted(comb)
     position = {node: i for i, node in enumerate(nodes)}
     adjacency = [sorted(position[t] for t in comb[node]) for node in nodes]
@@ -257,15 +232,13 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
 
     # the shortest node path from an entry node into a cyclic component,
     # then one lap around that component back to the node it entered by
-    order, parents = graph.bfs(adjacency, [position[node] for node in entry_nodes])
+    order, parents = graph.bfs(adjacency, [position[node] for node in entries])
     pivot = next(v for v in order if scc_of[v] in cyclic)
     path = graph.path_to(parents, pivot) + graph.cycle_through(
         adjacency, pivot, set(sccs[scc_of[pivot]])
     )
 
-    configuration, prefix = spelled(
-        stage_parents, stage_labels, entry_nodes[nodes[path[0]]]
-    )
+    configuration, prefix = entries[nodes[path[0]]]
     configurations = [configuration]
     for v, w in zip(path, path[1:]):
         c_word, d_word = comb[nodes[v]][nodes[w]]
@@ -282,16 +255,14 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
 
 def check_egf(rts: Rts, goal: Nfa) -> Verdict:
     """Can some run visit the goal infinitely often?  Tries the cycle
-    route first and the growth route second."""
-    by_loop = check_egf_loop(rts, goal)
-    if by_loop.holds:
+    route first and the growth route second, on one reachable set."""
+    _check_goal(rts, goal)
+    reachable = rts.reachable_set()
+    by_loop = _egf_loop(rts, goal, reachable)
+    if by_loop.holds or rts.length_preserving:
         return by_loop
-    by_clique = check_egf_clique(rts, goal)
-    if by_clique.holds:
-        return by_clique
-    if rts.length_preserving:
-        return by_loop
-    return fails(note=f"{by_loop.note}; {by_clique.note}")
+    by_clique = _egf_clique(rts, goal, reachable)
+    return by_clique if by_clique.holds else fails(note=f"{by_loop.note}; {by_clique.note}")
 
 
 # -- almost-sure checks ----------------------------------------------------------
@@ -371,20 +342,22 @@ def _bounded(rts: Rts, prop: str, goal: Nfa | None, bound: int) -> Verdict:
         )
     if goal is not None:
         _check_goal(rts, goal)
-    for n in range(bound + 1):
+    initial = rts.initial.trim()
+    n, frontier = 0, initial.initial  # its states at depth n; none past the longest word
+    while frontier and n <= bound:
         try:
             slice_ = build_slice(rts, n, reachable=True)
         except CapExceeded as err:
             return unknown(
                 bound=n - 1, note=f"no violation up to length {n - 1}; length {n}: {err}"
             )
-        if not slice_.initial:
-            continue
         satisfied, witness = oracle_check(slice_, prop, goal)
         if not satisfied:
             _replay(rts, witness)
             return fails(witness=witness, bound=n)
-    if length_automaton(rts.alphabet, bound, upto=True).includes(rts.initial)[0]:
+        frontier = frozenset().union(*(initial.step(frontier, a) for a in rts.alphabet.symbols))
+        n += 1
+    if not frontier:
         return holds(note=f"all initial configurations have length at most {bound}")
     return unknown(
         bound=bound,

@@ -16,7 +16,7 @@ whose words have ended; an image of an n-state language under an l-state
 transducer has at most (n + 1) * l.  Projection and composition assume
 padding-valid operands, which loading checks.
 
-Pre-images and round trips also come lazily, for a search
+Both images and round trips also come lazily, for a search
 (:func:`rmc.nfa._lazy_product`).  Built or lazy, a product moves by
 :func:`rmc.nfa._node_moves` and a pair accepts when moves writing only #
 lead it to (DONE, DONE): padding is defined once for both.  Each
@@ -73,27 +73,14 @@ class Transducer(Nfa):
 
     What is derived from a transducer alone (its product indexes, its
     successor index, the complement of its domain, and its padding and
-    length checks) is kept on it, filled on first use: like every
-    automaton, a transducer never changes after construction.
+    length checks) is kept on it (:meth:`Nfa._derive`), filled on first
+    use: like every automaton, a transducer never changes after construction.
     """
 
-    # key -> value derived from this transducer; unset until first use, so
-    # kernel results that are never indexed carry nothing
-    __slots__ = ("_derived",)
+    __slots__ = ()
 
     def __init__(self, top: Alphabet, bottom: Alphabet, states, transitions, initial, final):
         super().__init__(PairAlphabet(top, bottom), states, transitions, initial, final)
-
-    def _derive(self, key, build):
-        """The value ``build()`` derives from this transducer, built once."""
-        try:
-            return self._derived[key]
-        except AttributeError:
-            self._derived = {}
-        except KeyError:
-            pass
-        value = self._derived[key] = build()
-        return value
 
     @property
     def top(self) -> Alphabet:
@@ -233,11 +220,18 @@ class Transducer(Nfa):
         built by one product that reads the top track and writes the
         bottom one.
         """
+        return _product(Nfa, self.bottom, *self._post_image(language))
+
+    def lazy_post_image(self, language: Nfa) -> LazyNfa:
+        """The untrimmed language of :meth:`post_image`, explored lazily."""
+        return _lazy_product(self.bottom, *self._post_image(language))
+
+    def _post_image(self, language: Nfa) -> tuple:
+        """The operands of :func:`_product` for :meth:`post_image`."""
         if language.alphabet != self.top:
             raise AlphabetMismatch("language alphabet differs from the top track")
-        left, right = _moves_of_language(language), _moves_by_middle(self, 0)
-        start, middles = start_pairs(language, self), self.top.symbols + (PAD,)
-        return _product(Nfa, self.bottom, left, right, start, middles, 2)
+        index, middles = _moves_of_language(language), self.top.symbols + (PAD,)
+        return index, _moves_by_middle(self, 0), start_pairs(language, self), middles, 2
 
     def pre_image(self, language: Nfa) -> Nfa:
         """{x : some y in language with (x, y) in the relation}.

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rmc import PROPERTIES, CheckResult, Outcome, Report, parse_automaton
+from rmc import PROPERTIES, CheckResult, Outcome, Report, parse_automaton, procedures
 from rmc.cli import bundled_examples, main
 
 AB_WORD = """\
@@ -333,6 +333,24 @@ def test_lengths_without_words_cost_nothing_per_length():
     )
     assert done.returncode == 0, done.stderr
     assert "note: all initial configurations have length at most 20000" in done.stdout
+
+
+def test_bounded_checks_stop_at_the_longest_initial_word(capsys, monkeypatch):
+    """``toggle``'s initial words have length 1, so a bounded check slices
+    lengths 0 and 1 and no more, however large the bound."""
+    sliced = []
+    build_slice = procedures.build_slice
+
+    def counted(rts, n, **kw):
+        sliced.append(n)
+        return build_slice(rts, n, **kw)
+
+    monkeypatch.setattr(procedures, "build_slice", counted)
+    argv = ["check", "af", "--rts", "toggle", "--goal", "done", "--max-length", "100000"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "note: all initial configurations have length at most 100000" in out
+    assert sliced == [0, 1]
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "many"])

@@ -269,6 +269,14 @@ def _intersection_cases():
             yield t, t.inverse()
 
 
+def test_search_view_is_built_once():
+    """Every search reads an automaton through one view, kept on it."""
+    a = random_nfa(random.Random(5), AB, max_states=4)
+    assert a._view() is a._view()
+    t = random_padded_transducer(random.Random(5), AB, AB)
+    assert t._view() is t._view()
+
+
 def test_intersect_is_the_trimmed_pair_product():
     """Same states in the same order, same transitions, initial and final
     states as the pair-queue product trimmed, so every witness read off

@@ -42,6 +42,8 @@ from rmc import (
 )
 from rmc.oracle import build_slice, oracle_check
 from rmc.procedures import _locate, _replay
+
+import clique_reference
 from support import (
     A,
     AB,
@@ -54,6 +56,7 @@ from support import (
     random_word_nfa,
     words_nfa,
 )
+from test_cli import _TWO_STARTS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data"
 SUCC = mk_t(A, A, [("s", "a/a", "s"), ("s", "#/a", "t")], ["s"], ["t"])
@@ -364,6 +367,45 @@ def test_egf_clique_witness_is_pinned(seed, configurations):
     assert verdict.holds
     assert verdict.witness.kind == "clique-prefix"
     assert verdict.witness.configurations == configurations
+
+
+def test_growth_route_answers_as_the_reference_route(tmp_path):
+    """The comb walk on the shared index gives the same verdicts, notes and
+    witnesses as the route with its own index and queue
+    (``tests/clique_reference.py``), alone and inside ``check_egf``: on
+    ``_growing_rts`` seeds 0-999, and on succ-walk and the two-start
+    bundle of ``tests/test_cli.py`` with each of their languages as goal."""
+    for name, text in _TWO_STARTS.items():
+        (tmp_path / name).write_text(text)
+    cases = [_growing_rts(seed) for seed in range(1000)]
+    for bundle in (DATA / "succ-walk", tmp_path):
+        rts = load_rts_bundle(bundle / "bundle.rts")
+        cases += [(rts, load_automaton(goal)) for goal in sorted(bundle.glob("*.nfa"))]
+    held = 0
+    for k, (rts, goal) in enumerate(cases):
+        expected = clique_reference.check_egf_clique(rts, goal)
+        assert check_egf_clique(rts, goal) == expected, k
+        assert check_egf(rts, goal) == clique_reference.check_egf(rts, goal), k
+        held += expected.holds
+    assert held > 80
+
+
+def test_egf_builds_the_reachable_set_once(monkeypatch):
+    """On succ-walk the cycle route fails and the growth route holds; both
+    read one reachable set."""
+    rts = load_rts_bundle(DATA / "succ-walk" / "bundle.rts")
+    goal = load_automaton(DATA / "succ-walk" / "all.nfa")
+    built = []
+    reachable_set = Rts.reachable_set
+
+    def counted(self):
+        built.append(self)
+        return reachable_set(self)
+
+    monkeypatch.setattr(Rts, "reachable_set", counted)
+    verdict = check_egf(rts, goal)
+    assert verdict.holds and verdict.witness.kind == "clique-prefix"
+    assert built == [rts]
 
 
 def test_chain_into_the_goal_is_one_composition():

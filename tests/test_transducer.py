@@ -209,6 +209,8 @@ def test_operands_over_the_wrong_alphabet_are_refused():
          "language alphabet differs from the bottom track"),
         (lambda: to_xy.lazy_pre_image(universal_automaton(AB)),
          "language alphabet differs from the bottom track"),
+        (lambda: to_xy.lazy_post_image(universal_automaton(xy)),
+         "language alphabet differs from the top track"),
         (lambda: identity_on(to_xy), "identity_on needs a plain word language"),
     ]
     for operation, message in refusals:
@@ -472,9 +474,9 @@ def _same_words(name, lazy, reference, alphabet, up_to=5):
 
 
 def test_lazy_sides_accept_what_the_built_automata_accept():
-    """The lazy pre-image, domain and round trip accept, word for word up
-    to length 5, what ``pre_image``, ``project(1)`` and the projected
-    ``intersect`` with the inverse accept, on padded and growing
+    """The lazy images, domain and round trip accept, word for word up to
+    length 5, what ``pre_image``, ``post_image``, ``project(1)`` and the
+    projected ``intersect`` with the inverse accept, on padded and growing
     relations as well as letter-to-letter ones."""
     rng = random.Random(71)
     cases = [
@@ -488,6 +490,7 @@ def test_lazy_sides_accept_what_the_built_automata_accept():
             _same_words(name, t.lazy_pre_image(everything), t.project(1), alphabet)
             for language in languages:
                 _same_words(name, t.lazy_pre_image(language), t.pre_image(language), alphabet)
+                _same_words(name, t.lazy_post_image(language), t.post_image(language), alphabet)
             for r in relations:
                 both = t.intersect(r.inverse()).project(1)
                 _same_words(name, t.lazy_round_trip(r), both, alphabet)
@@ -518,6 +521,7 @@ def test_lazy_sides_count_their_subsets_against_the_state_cap(monkeypatch):
         for side in (
             t.lazy_pre_image(random_nfa(rng, t.top, max_states=4)),
             t.lazy_round_trip(r),
+            t.lazy_post_image(random_nfa(rng, t.top, max_states=4)),
         ):
             count = _subset_count(side, t.top)
             if count < 2:
@@ -535,7 +539,7 @@ def test_search_is_the_least_word_of_the_positives_minus_the_negatives():
     """``constrained_search(P, N)`` gives the first word, in a scan of all
     words up to length 5 shortest first and then in alphabet order, that
     every positive accepts and, when N is not empty, some negative
-    rejects.  Random automata, lazy pre-images and lazy round trips each
+    rejects.  Random automata, lazy images and lazy round trips each
     serve on both sides, one to three positives against none to two
     negatives."""
     rng = random.Random(79)
@@ -548,6 +552,7 @@ def test_search_is_the_least_word_of_the_positives_minus_the_negatives():
             random_nfa(rng, alphabet, max_states=4),
             t.lazy_pre_image(random_nfa(rng, alphabet, max_states=4)),
             t.lazy_round_trip(r),
+            t.lazy_post_image(random_nfa(rng, alphabet, max_states=4)),
         ]
         words, _truncated = length_automaton(alphabet, up_to, upto=True).enumerate_words(10**4)
         for n_pos, n_neg in ((1, 0), (1, 1), (2, 0), (2, 2), (3, 1)):
@@ -613,6 +618,7 @@ def _products(languages):
             (f"post {i}", lambda x, y, lang=lang: x.post_image(lang)),
             (f"pre {i}", lambda x, y, lang=lang: x.pre_image(lang)),
             (f"lazy pre {i}", lambda x, y, lang=lang: x.lazy_pre_image(lang)),
+            (f"lazy post {i}", lambda x, y, lang=lang: x.lazy_post_image(lang)),
         ]
     return ops
 
