@@ -129,8 +129,9 @@ class PairAlphabet(_Symbols):
         try:
             return self._index[sym]
         except KeyError:
+            shown = PairSymbol(*sym) if isinstance(sym, tuple) and len(sym) == 2 else sym
             raise SymbolNotInAlphabet(
-                f"pair symbol {sym} not over alphabets "
+                f"pair symbol {shown} not over alphabets "
                 f"{self.top.symbols!r} / {self.bottom.symbols!r}"
             ) from None
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from . import graph
-from .alphabet import Alphabet, Word, convolve
+from .alphabet import Alphabet, PairAlphabet, Word
 from .errors import CapExceeded, NotLengthPreserving, SuccessorCapExceeded
 from .nfa import Nfa
 from .rts import Rts
@@ -224,67 +224,62 @@ def slice_closure(slice_: FiniteSlice) -> frozenset[tuple[Word, Word]]:
 def relation_to_transducer(
     alphabet: Alphabet, pairs: Iterable[tuple[Word, Word]]
 ) -> Transducer:
-    """Lift a finite set of equal-length word pairs into a transducer.
+    """Lift a finite set of equal-length word pairs into its minimal transducer.
 
-    Builds a trie over the convolutions and then merges states with equal
-    residuals bottom-up, so large explicitly computed closures stay
-    manageable.  Accepts exactly the given pairs.
+    The pairs go into a trie keyed by ``(top, bottom)`` tuples, with no
+    convolution built.  One depth-first walk in pair order numbers the
+    nodes in pre-order and, on the way back up, puts each node in the class
+    of its acceptance and its children's classes (bottom-up minimization of
+    an acyclic automaton), named by its deepest member, then least number.
     """
-    convs = []
+    known = frozenset(alphabet.symbols)  # check_word runs on a miss, to raise its error
+    trie: dict = {}
     for x, y in pairs:
         if len(x) != len(y):
-            raise NotLengthPreserving(
-                f"pair lengths differ: {len(x)} vs {len(y)}"
-            )
-        alphabet.check_word(x)
-        alphabet.check_word(y)
-        convs.append(convolve(x, y))
-    convs.sort()
+            raise NotLengthPreserving(f"pair lengths differ: {len(x)} vs {len(y)}")
+        if not (known.issuperset(x) and known.issuperset(y)):
+            alphabet.check_word(x)
+            alphabet.check_word(y)
+        node = trie
+        for key in zip(x, y):
+            node = node.setdefault(key, {})
+        node[()] = None  # a pair ends here; the empty key sorts before every pair
+    if not trie:
+        return Transducer(alphabet, alphabet, (), {}, (), ())
 
-    children: list[dict] = [{}]
-    accepting: list[bool] = [False]
-    depth: list[int] = [0]
-    for conv in convs:
-        node = 0
-        for sym in conv:
-            nxt = children[node].get(sym)
-            if nxt is None:
-                nxt = len(children)
-                children.append({})
-                accepting.append(False)
-                depth.append(depth[node] + 1)
-                children[node][sym] = nxt
-            node = nxt
-        accepting[node] = True
+    classes: dict = {}  # signature to class, numbered as found
+    named: list = []  # by class: the depth and number of the member it is named by
+    path = [((), trie, iter(sorted(trie)), [], 0)]  # key, node, keys left, moves, number
+    count = 1
+    while path:
+        _key, node, keys, moves, number = path[-1]
+        for key in keys:
+            if key:
+                child = node[key]
+                path.append((key, child, iter(sorted(child)), [], count))
+                count += 1
+                break
+        else:
+            key = path.pop()[0]
+            c = classes.setdefault((() in node, tuple(moves)), len(named))
+            if c == len(named):
+                named.append((len(path), number))
+            elif len(path) > named[c][0]:  # equally deep members come least number first
+                named[c] = (len(path), number)
+            if path:
+                path[-1][3].append((key, c))
 
-    # merge equal residuals, deepest first
-    canon: dict = {}
-    rep: list[int] = [0] * len(children)
-    for node in sorted(range(len(children)), key=depth.__getitem__, reverse=True):
-        signature = (
-            accepting[node],
-            tuple(sorted(
-                ((sym, rep[child]) for sym, child in children[node].items()),
-                key=lambda kv: (kv[0].top, kv[0].bottom, kv[1]),
-            )),
-        )
-        rep[node] = canon.setdefault(signature, node)
-
-    states = sorted({rep[n] for n in range(len(children))})
+    names = [number for _depth, number in named]
+    symbols = {s: s for s in PairAlphabet(alphabet, alphabet)}  # each PairSymbol once
     transitions: dict = {}
-    for node in states:
-        for sym, child in children[node].items():
-            transitions.setdefault((node, sym), set()).add(rep[child])
-    transitions = {k: tuple(v) for k, v in transitions.items()}
-    result = Transducer(
-        alphabet,
-        alphabet,
-        tuple(states),
-        transitions,
-        [rep[0]],
-        [n for n in states if accepting[n]],
-    )
-    return result.trim()
+    final = []
+    for c, (accepting, moves) in sorted(enumerate(classes), key=lambda cs: names[cs[0]]):
+        if accepting:
+            final.append(names[c])
+        for key, d in moves:
+            transitions[(names[c], symbols[key])] = (names[d],)
+    # the root is numbered 0 and alone in its class
+    return Transducer(alphabet, alphabet, sorted(names), transitions, [0], final)
 
 
 def dump_slice(slice_: FiniteSlice) -> str:

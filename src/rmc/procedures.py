@@ -345,16 +345,17 @@ def _bounded(rts: Rts, prop: str, goal: Nfa | None, bound: int) -> Verdict:
     initial = rts.initial.trim()
     n, frontier = 0, initial.initial  # its states at depth n; none past the longest word
     while frontier and n <= bound:
-        try:
-            slice_ = build_slice(rts, n, reachable=True)
-        except CapExceeded as err:
-            return unknown(
-                bound=n - 1, note=f"no violation up to length {n - 1}; length {n}: {err}"
-            )
-        satisfied, witness = oracle_check(slice_, prop, goal)
-        if not satisfied:
-            _replay(rts, witness)
-            return fails(witness=witness, bound=n)
+        if frontier & initial.final:  # else the slice is empty: AF, AGF and ASF hold
+            try:
+                slice_ = build_slice(rts, n, reachable=True)
+            except CapExceeded as err:
+                return unknown(
+                    bound=n - 1, note=f"no violation up to length {n - 1}; length {n}: {err}"
+                )
+            satisfied, witness = oracle_check(slice_, prop, goal)
+            if not satisfied:
+                _replay(rts, witness)
+                return fails(witness=witness, bound=n)
         frontier = frozenset().union(*(initial.step(frontier, a) for a in rts.alphabet.symbols))
         n += 1
     if not frontier:

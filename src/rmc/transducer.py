@@ -28,8 +28,10 @@ afresh for each product.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from . import graph
-from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word, convolve
+from .alphabet import PAD, Alphabet, PairAlphabet, PairSymbol, Word
 from .errors import AlphabetMismatch, PaddingViolation
 from .nfa import LazyNfa, Nfa, start_pairs, universal_automaton
 from .nfa import _lazy_product, _moves_of_language, _product, _with_done
@@ -93,7 +95,8 @@ class Transducer(Nfa):
     # -- relation queries --------------------------------------------------------
 
     def accepts_pair(self, top_word: Word, bottom_word: Word) -> bool:
-        return self.accepts(convolve(top_word, bottom_word))
+        """Reads the padded pairs as plain tuples, equal to their PairSymbols."""
+        return self.accepts(tuple(zip_longest(top_word, bottom_word, fillvalue=PAD)))
 
     def is_length_preserving(self) -> bool:
         """True when no trimmed transition carries padding.  Worked out

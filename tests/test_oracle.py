@@ -10,12 +10,15 @@ from pathlib import Path
 
 import pytest
 
+import relation_reference
 from rmc import (
     Alphabet,
     CapExceeded,
     NotLengthPreserving,
+    PairSymbol,
     Rts,
     SimulationConfig,
+    SymbolNotInAlphabet,
     Witness,
     load_automaton,
     load_rts_bundle,
@@ -255,6 +258,89 @@ def test_relation_roundtrip():
         assert not lifted.accepts_pair((), ())
         one = slice_.configurations[0][:1]
         assert not lifted.accepts_pair(one, one)
+
+
+# "b" before "a" is not string order; "◦x" and "•" are more than one byte,
+# and "a" is a prefix of "ab"
+LIFT_ALPHABETS = [AB, Alphabet(["b", "a"]), Alphabet(["•", "◦x", "a", "ab"])]
+
+
+def _random_pairs(rng, alphabet, count):
+    """``count`` seeded pairs of equal-length words of lengths 0-5."""
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(0, 5)
+        pairs.append(tuple(
+            tuple(rng.choice(alphabet.symbols) for _ in range(n)) for _ in range(2)
+        ))
+    return pairs
+
+
+def _same_lift(alphabet, pairs):
+    """The lift equals the reference lift of ``tests/relation_reference.py``:
+    equal states, initial and final states, and transitions, in the same
+    order and on PairSymbol labels."""
+    lifted = relation_to_transducer(alphabet, pairs)
+    expected = relation_reference.relation_to_transducer(alphabet, pairs)
+    assert lifted == expected, pairs
+    assert list(lifted.transitions) == list(expected.transitions)
+    assert all(type(sym) is PairSymbol for _q, sym in lifted.transitions)
+
+
+@pytest.mark.parametrize("alphabet", LIFT_ALPHABETS, ids=lambda a: " ".join(a.symbols))
+def test_lift_is_the_reference_lift(alphabet):
+    """On the empty relation, the empty pair alone, and seeded sets of
+    pairs of lengths 0-5, given as a set and as a list with repeats."""
+    rng = random.Random(29)
+    _same_lift(alphabet, set())
+    _same_lift(alphabet, {((), ())})
+    for _ in range(40):
+        pairs = _random_pairs(rng, alphabet, rng.randint(1, 60))
+        _same_lift(alphabet, set(pairs))
+        _same_lift(alphabet, pairs + pairs[: rng.randint(0, len(pairs))])
+
+
+def test_lift_of_slice_closures_is_the_reference_lift():
+    rng = random.Random(31)
+    for _ in range(10):
+        rts, _goal = random_lp_rts(rng, with_reach=False, max_length=3)
+        closure = set()
+        for n in range(4):
+            closure |= slice_closure(build_slice(rts, n))
+        _same_lift(rts.alphabet, closure)
+
+
+def _lift_error(lift, pairs):
+    try:
+        lift(AB, pairs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _unknown(sym):
+    return SymbolNotInAlphabet, f"symbol {sym!r} not in alphabet ('a', 'b')"
+
+
+@pytest.mark.parametrize(
+    "pairs, expected",
+    [
+        # a length error comes before a symbol error in the same pair
+        (
+            [(("a",), ("a",)), (("c",), ("a", "c"))],
+            (NotLengthPreserving, "pair lengths differ: 1 vs 2"),
+        ),
+        # a bad x before a bad y
+        ([(("a", "c"), ("d", "a"))], _unknown("c")),
+        ([(("a", "b"), ("d", "a"))], _unknown("d")),
+        # the first bad pair decides, whatever comes later
+        ([(("a",), ("c",)), ((), ("a",))], _unknown("c")),
+        ([((), ("a",)), (("a",), ("c",))], (NotLengthPreserving, "pair lengths differ: 0 vs 1")),
+    ],
+)
+def test_lift_refuses_the_first_bad_pair_as_the_reference_does(pairs, expected):
+    assert _lift_error(relation_to_transducer, pairs) == expected
+    assert _lift_error(relation_reference.relation_to_transducer, pairs) == expected
 
 
 def test_dump_slice_mentions_everything():

@@ -15,6 +15,7 @@ from rmc import (
     PairAlphabet,
     PaddingViolation,
     StateCapExceeded,
+    SymbolNotInAlphabet,
     Transducer,
     constrained_search,
     convolve,
@@ -67,6 +68,24 @@ def test_accepts_pair_and_padding():
     assert SUCC.accepts_pair(("a", "a"), ("a", "a", "a"))
     assert not SUCC.accepts_pair(("a",), ("a",))
     assert not SUCC.accepts_pair(("a",), ())
+
+
+def test_accepts_pair_is_acceptance_of_the_convolution():
+    """The padded pairs read as plain tuples give the answer of the
+    convolution, on words of equal and of unequal lengths."""
+    rng = random.Random(53)
+    answers = set()
+    for _ in range(40):
+        t = random_padded_transducer(rng, AB, ABC)
+        for _ in range(30):
+            x = tuple(rng.choice(AB.symbols) for _ in range(rng.randint(0, 4)))
+            n = len(x) if rng.random() < 0.5 else rng.randint(0, 4)
+            y = tuple(rng.choice(ABC.symbols) for _ in range(n))
+            answers.add((len(x) == len(y), t.accepts_pair(x, y)))
+            assert t.accepts_pair(x, y) == t.accepts(convolve(x, y)), (x, y)
+    assert answers == {(True, True), (True, False), (False, True), (False, False)}
+    with pytest.raises(SymbolNotInAlphabet, match="^pair symbol c/a not over alphabets"):
+        t.accepts_pair(("c",), ("a",))
 
 
 def test_validate_padding_rejects_resumed_track():
