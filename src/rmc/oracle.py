@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 PROPERTIES = ("EF", "EGF", "AF", "AGF", "ASF", "ASGF", "AST", "DF")
 
 DEFAULT_CONFIG_CAP = 200_000
+# simulate draws integers below _SPAN, about _BLOCK of them at a time
+_SPAN, _BLOCK = 2**62, 65536
 
 
 @dataclass(frozen=True)
@@ -334,14 +336,18 @@ def simulate(
     """Seeded random walks from ``start`` that all advance together.
 
     At each step every live run moves to a successor chosen uniformly by
-    index, one draw per live run, or is absorbed at a terminating
-    configuration; a run that has moved ``max_steps`` times stops
-    unabsorbed.  Configurations are numbered as they are found, and their
-    successors listed once, when a run first steps from them; more than
-    ``Rts.DEFAULT_SUCCESSOR_CAP`` of them is an error rather than a
-    silently biased sample.  A fixed seed reproduces the statistics
-    exactly.  numpy is imported here, not with the module, so that only
-    the walks load it.
+    index, or is absorbed at a terminating configuration; a run that has
+    moved ``max_steps`` times stops unabsorbed.  Configurations are
+    numbered as they are found, and their successors listed once, when a
+    run first steps from them; more than ``Rts.DEFAULT_SUCCESSOR_CAP`` of
+    them is an error rather than a silently biased sample.  Draws come in
+    blocks, a row per step and a column per run; run j always reads column
+    j, so its walk does not depend on when other runs are absorbed.  Of d
+    successors a draw u, uniform below ``_SPAN``, picks ``u // w`` where
+    ``w = _SPAN // d``: each pick below d has exactly w preimages, so it
+    is exactly uniform, and a pick of d (``u >= d * w > _SPAN - d``) is
+    redrawn.  A fixed seed reproduces the statistics exactly.  numpy is
+    imported here, not with the module, so that only the walks load it.
     """
     import numpy as np
 
@@ -354,51 +360,69 @@ def simulate(
         raise ValueError("goal alphabet differs from the system alphabet")
     rng = np.random.default_rng(config.seed)
     words, ids = [start], {start: 0}
-    # by configuration id: where its successors start in ``flat``, how many
-    # there are, and whether it is a goal configuration; -1 until needed
-    offset, degree, flat = (np.full(16, -1, dtype=np.int64) for _ in range(3))
+    # by configuration id: where its successors start in ``flat``, the width
+    # w of a pick (0 at a dead end) and whether it is a goal; -1 until needed
+    offset, widths, flat = (np.full(16, -1, dtype=np.int64) for _ in range(3))
     is_goal = np.full(16, -1, dtype=np.int8)
-    filled = 0
+    filled = settled = 0
     is_goal[0] = goal is not None and goal.accepts(start)
-    cur = np.zeros(config.runs, dtype=np.int64)
+    # rare events are looked for only while they can happen: runs at a
+    # configuration not settled (expanded, with successors), and unhit goals
+    watching = goal is not None and not is_goal[0]
+    cur, slots = np.zeros(config.runs, dtype=np.int64), np.arange(config.runs)
     hit = np.full(config.runs, is_goal[0], dtype=np.int8)
+    block, row = np.empty((0, config.runs), dtype=np.int64), 0
     hit_runs = absorbed = absorbed_steps = 0
     for step in range(config.max_steps):
-        deg = degree[cur]
-        if deg.min() < 0:
-            for i in sorted(set(cur[deg < 0].tolist())):
-                out, truncated = rts.successors(words[i])
+        width = widths[cur]
+        if settled < len(words) and width.min() <= 0:
+            misses, lists = sorted(set(cur[width < 0].tolist())), []
+            for i in misses:
+                out, truncated = rts.successors(words[i], Rts.DEFAULT_SUCCESSOR_CAP)
                 if truncated:
                     raise SuccessorCapExceeded(
                         f"configuration {' '.join(words[i]) or 'ε'} has more successors "
                         f"than the cap of {Rts.DEFAULT_SUCCESSOR_CAP}"
                     )
                 # a word's id is its index in ``words``
-                row = [ids.setdefault(w, len(ids)) for w in out]
-                words += [w for w, j in zip(out, row) if j >= len(words)]
-                offset, degree, is_goal = (_fit(a, len(words)) for a in (offset, degree, is_goal))
-                flat = _fit(flat, filled + len(row))
-                flat[filled : filled + len(row)] = row
-                offset[i], degree[i] = filled, len(row)
-                filled += len(row)
-            deg = degree[cur]
-        if deg.min() == 0:
-            dead = deg == 0
-            n = int(np.count_nonzero(dead))
-            absorbed += n
-            absorbed_steps += step * n
-            hit_runs += int(np.count_nonzero(hit[dead]))
-            cur, deg, hit = cur[~dead], deg[~dead], hit[~dead]
-            if not cur.size:
-                break
-        cur = flat[offset[cur] + rng.integers(0, deg)]
-        if goal is not None and not hit.all():
+                lists.append([ids.setdefault(w, len(ids)) for w in out])
+                words += [w for w, j in zip(out, lists[-1]) if j >= len(words)]
+            offset, widths, is_goal = (_fit(a, len(words)) for a in (offset, widths, is_goal))
+            flat = _fit(flat, filled + sum(map(len, lists)))
+            for i, succ in zip(misses, lists):
+                flat[filled : filled + len(succ)] = succ
+                offset[i], widths[i] = filled, _SPAN // len(succ) if succ else 0
+                filled += len(succ)
+            settled += sum(map(bool, lists))
+            width = widths[cur]
+            if (dead := width == 0).any():
+                n = int(np.count_nonzero(dead))
+                absorbed += n
+                absorbed_steps += step * n
+                hit_runs += int(np.count_nonzero(hit[dead]))
+                cur, width, hit, slots = cur[~dead], width[~dead], hit[~dead], slots[~dead]
+                block, row = block[row:, ~dead], 0
+                if not cur.size:
+                    break
+        if row == len(block):
+            size = (min(max(1, _BLOCK // config.runs), config.max_steps - step), config.runs)
+            block = rng.integers(0, _SPAN, size=size, dtype=np.int64)[:, slots]
+            # d is at most the cap, so only such a draw can pick d
+            row, risky = 0, block.max() >= _SPAN - Rts.DEFAULT_SUCCESSOR_CAP
+        pick = block[row] // width
+        row += 1
+        # d is _SPAN // w, as d * (d + 1) < _SPAN
+        while risky and (bad := pick >= _SPAN // width).any():
+            pick[bad] = rng.integers(0, _SPAN, size=bad.sum(), dtype=np.int64) // width[bad]
+        cur = flat[offset[cur] + pick]
+        if watching:
             flags = is_goal[cur]
             if flags.min() < 0:
                 for i in sorted(set(cur[flags < 0].tolist())):
                     is_goal[i] = goal.accepts(words[i])
                 flags = is_goal[cur]
             hit |= flags
+            watching = not hit.all()
     hit_runs += int(np.count_nonzero(hit))
     return SimulationStats(
         runs=config.runs,

@@ -59,24 +59,12 @@ def inclusion_checks(relation: Transducer, named) -> tuple[CheckResult, ...]:
     return tuple(checks)
 
 
-def _advance(level, moves: dict) -> dict:
-    """One top symbol of a run: each ``(prefix, states)`` of ``level``
-    takes the ``(bottom, targets)`` moves of its states, and a padded
-    bottom track keeps its prefix."""
-    nxt: dict = {}
-    for prefix, states in level:
-        for q in states:
-            for b, dsts in moves.get(q, ()):
-                key = prefix if b is None else prefix + (b,)
-                nxt.setdefault(key, set()).update(dsts)
-    return nxt
-
-
 def _successor_index(delta: Transducer) -> tuple:
-    """The trimmed step transducer for :meth:`Rts.successors`: a map from
-    top symbol (# included) and state to ``(bottom, targets)`` moves, where
-    ``bottom`` is a symbol index or None for padding, and the initial and
-    final states."""
+    """The trimmed step transducer for :meth:`Rts.successors`: a memoized
+    ``step(level, a)`` that reads top symbol ``a`` (# included) into a map
+    from bottom-track prefix codes to the states they reach, the bits per
+    digit of a code, its decoder, the initial and final states, and whether
+    any (#, b) move is left."""
     delta = delta.trim()
     # (#, b) moves keep only targets that can still accept by such moves,
     # so endless growth always meets the cap, even on a delta that is not
@@ -89,15 +77,42 @@ def _successor_index(delta: Transducer) -> tuple:
     grows = graph.closure(delta.final, lambda r: back.get(r, ()))
     moves: dict = {}
     for (q, sym), dsts in delta.transitions.items():
-        b = None if sym.bottom == PAD else delta.bottom.index(sym.bottom)
+        digit = None if sym.bottom == PAD else delta.bottom.index(sym.bottom) + 1
         if sym.top == PAD:
             dsts = tuple(r for r in dsts if r in grows)
         if dsts:
-            moves.setdefault(sym.top, {}).setdefault(q, []).append((b, dsts))
-    for by_state in moves.values():
-        for q, found in by_state.items():
-            by_state[q] = tuple(found)
-    return moves, frozenset(delta.initial), delta.final
+            moves.setdefault((q, sym.top), []).append((digit, dsts))
+    # a code's digits are whole bytes holding symbol indices plus one, so
+    # codes sort shortest first, then in alphabet order, and decode fast
+    symbols = (None, *delta.bottom.symbols)
+    size = ((len(symbols) - 1).bit_length() + 7) // 8
+    # by top symbol: the moves of a set of states, merged by bottom digit
+    merged: dict = {}
+
+    def step(level: dict, a) -> dict:
+        nxt: dict = {}
+        known = merged.setdefault(a, {})
+        for code, states in level.items():
+            found = known.get(states)
+            if found is None:
+                by_digit: dict = {}
+                for q in states:
+                    for digit, dsts in moves.get((q, a), ()):
+                        by_digit.setdefault(digit, set()).update(dsts)
+                found = known[states] = tuple((d, frozenset(t)) for d, t in by_digit.items())
+            for digit, targets in found:
+                c = code if digit is None else code << 8 * size | digit
+                nxt[c] = nxt[c] | targets if c in nxt else targets
+        return nxt
+
+    def decode(code: int) -> Word:
+        raw = code.to_bytes(-(-code.bit_length() // (8 * size)) * size, "big")
+        if size > 1:
+            raw = [int.from_bytes(raw[i : i + size], "big") for i in range(0, len(raw), size)]
+        return tuple(map(symbols.__getitem__, raw))
+
+    growing = any(top == PAD for _, top in moves)
+    return step, 8 * size, decode, frozenset(delta.initial), delta.final, growing
 
 
 class Rts:
@@ -158,24 +173,22 @@ class Rts:
         cap = self.DEFAULT_SUCCESSOR_CAP if cap is None else cap
         self.alphabet.check_word(config)
         # derived from delta alone, so kept on it like its product indexes
-        moves, start, final = self.delta._derive("successors", lambda: _successor_index(self.delta))
-        # prefixes are tuples of symbol indices, so they sort in alphabet order
-        level = {(): start}
+        index = self.delta._derive("successors", lambda: _successor_index(self.delta))
+        step, bits, decode, start, final, growing = index
+        # ``least`` is the least code as long as the top track read so far
+        level, least = {0: start}, 0
         for a in config:
-            level = _advance(level.items(), moves.get(a, {}))
+            level, least = step(level, a), least << bits | 1
             if not level:
                 return (), False
-        found = sorted(prefix for prefix, states in level.items() if states & final)
-        found.sort(key=len)
-        growth = moves.get(PAD)
-        if growth:
+        found = sorted(code for code, states in level.items() if states & final)
+        if growing:
             # after the top track, (#, b) moves extend the unpadded prefixes
-            longer = sorted(item for item in level.items() if len(item[0]) == len(config))
+            longer = {code: states for code, states in level.items() if code >= least}
             while longer and len(found) <= cap:
-                longer = sorted(_advance(longer, growth).items())
-                found.extend(prefix for prefix, states in longer if states & final)
-        symbol = self.alphabet.symbols.__getitem__
-        return tuple(tuple(map(symbol, p)) for p in found[:cap]), len(found) > cap
+                longer = step(longer, PAD)
+                found.extend(sorted(code for code, states in longer.items() if states & final))
+        return tuple(map(decode, found[:cap])), len(found) > cap
 
     def validate(self) -> ValidationReport:
         """Necessary structural checks; cannot prove a reach relation exact.

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relation_reference
@@ -18,6 +19,7 @@ from rmc import (
     PairSymbol,
     Rts,
     SimulationConfig,
+    SimulationStats,
     SymbolNotInAlphabet,
     Witness,
     load_automaton,
@@ -392,16 +394,125 @@ def test_simulation_draws_successors_uniformly():
     assert abs(stats.goal_hit_frequency - 1 / 3) < 4 * standard_error
     assert stats.termination_frequency == 1.0
     assert stats.mean_steps_to_absorption == 1.0
+    # among five or seven dead ends, the first and the last are each drawn
+    # a 1/degree share of the time
+    for degree in (5, 7):
+        alphabet = Alphabet(["a", *"bcdefgh"[:degree]])
+        ends = alphabet.symbols[1:]
+        rts = one_rts(alphabet, [("s", f"a/{x}", "t") for x in ends])
+        standard_error = math.sqrt(1 / degree * (1 - 1 / degree) / runs)
+        for seed, end in enumerate((ends[0], ends[-1])):
+            stats = simulate(
+                rts, ("a",), SimulationConfig(runs=runs, max_steps=2, seed=seed),
+                goal=words_nfa(alphabet, {(end,)}),
+            )
+            assert abs(stats.goal_hit_frequency - 1 / degree) < 4 * standard_error
+            assert stats.termination_frequency == 1.0
+
+
+def _hit_within(rts, goal, config, steps, memo):
+    """The chance that a uniform walk from ``config`` meets ``goal`` within
+    ``steps`` moves, stopping at a configuration without successors."""
+    key = (config, steps)
+    if key not in memo:
+        successors, truncated = rts.successors(config)
+        assert not truncated
+        if goal.accepts(config):
+            memo[key] = 1.0
+        elif steps == 0 or not successors:
+            memo[key] = 0.0
+        else:
+            memo[key] = sum(
+                _hit_within(rts, goal, s, steps - 1, memo) for s in successors
+            ) / len(successors)
+    return memo[key]
+
+
+def test_simulation_goal_hit_matches_the_exact_chance():
+    # herman-grow's ring grows and shrinks, so its walks meet many
+    # configurations of different degrees within five moves
+    data = DATA / "herman-grow"
+    rts, goal = load_rts_bundle(data / "bundle.rts"), load_automaton(data / "one-token.nfa")
+    start = tuple("⟨••◦⟩")
+    exact = _hit_within(rts, goal, start, 5, {})
+    assert 0.05 < exact < 0.95
+    runs = 20_000
+    stats = simulate(rts, start, SimulationConfig(runs=runs, max_steps=5, seed=4), goal=goal)
+    assert abs(stats.goal_hit_frequency - exact) < 4 * math.sqrt(exact * (1 - exact) / runs)
+
+
+class _CraftedDraws:
+    """A generator whose draws are given: each call to ``integers`` takes
+    the next entry of ``draws`` and records the size it was asked for."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+        self.sizes = []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return np.array(self.draws.pop(0), dtype=dtype).reshape(size)
+
+
+def test_simulation_redraws_a_pick_past_the_last_successor(monkeypatch):
+    # 2**62 = 3 * (2**62 // 3) + 1, so the draw 2**62 - 1 picks 3 at
+    # degree 3: rejected, and redrawn until the pick is below 3
+    span = 2**62
+    assert (span - 1) // (span // 3) == 3
+    abcd = Alphabet(["a", "b", "c", "d"])
+    rts = one_rts(abcd, [("s", "a/b", "t"), ("s", "a/c", "t"), ("s", "a/d", "t")])
+    crafted = _CraftedDraws([[[span - 1], [0], [0]], [span - 1], [2 * (span // 3)]])
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: crafted)
+    stats = simulate(
+        rts, ("a",), SimulationConfig(runs=1, max_steps=3), goal=words_nfa(abcd, {("d",)})
+    )
+    # one block of three steps for the one run, then two redraws of its pick
+    assert crafted.sizes == [(3, 1), 1, 1]
+    assert stats == SimulationStats(1, 1.0, 1.0, 1.0)
+
+
+class _DrawsFrom:
+    """A generator whose blocks are successive rows of ``draws``, a row
+    per step and a column per run."""
+
+    def __init__(self, draws):
+        self.draws = draws
+        self.row = 0
+
+    def integers(self, low, high, size, dtype):
+        rows, runs = size
+        assert runs == self.draws.shape[1]
+        self.row += rows
+        return self.draws[self.row - rows : self.row].astype(dtype)
+
+
+@pytest.mark.parametrize("runs", [2, 40_000])
+def test_simulation_run_keeps_its_column_when_others_are_absorbed(monkeypatch, runs):
+    # a steps to the dead end d or to e, and e to the dead ends f or g.
+    # Run 0 draws d and is absorbed; every other run draws e, then g from
+    # its own column, where column 0 would give f.  Two runs share one
+    # block; 40,000 runs take a block per step.
+    adefg = Alphabet(["a", "d", "e", "f", "g"])
+    rts = one_rts(adefg, [("s", label, "t") for label in ("a/d", "a/e", "e/f", "e/g")])
+    draws = np.full((3, runs), 2**61, dtype=np.int64)
+    draws[:, 0] = 0
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _DrawsFrom(draws))
+    stats = simulate(
+        rts, ("a",), SimulationConfig(runs=runs, max_steps=3), goal=words_nfa(adefg, {("g",)})
+    )
+    assert stats == SimulationStats(runs, (runs - 1) / runs, 1.0, (1 + 2 * (runs - 1)) / runs)
 
 
 def test_simulation_absorption_time_is_geometric():
     # a stays or falls into the dead end b with equal odds: the number of
-    # moves until b is geometric with mean 2 and variance 2
+    # moves until b is geometric with mean 2 and variance 2.  With 40,000
+    # runs a block of draws holds one step, so absorbed runs leave every
+    # block and every step starts a new one.
     rts = one_rts(AB, [("s", "a/a", "t"), ("s", "a/b", "t")])
-    runs = 20_000
-    stats = simulate(rts, ("a",), SimulationConfig(runs=runs, max_steps=200, seed=12))
-    assert stats.termination_frequency == 1.0
-    assert abs(stats.mean_steps_to_absorption - 2) < 4 * math.sqrt(2 / runs)
+    for runs in (20_000, 40_000):
+        stats = simulate(rts, ("a",), SimulationConfig(runs=runs, max_steps=200, seed=12))
+        assert stats.termination_frequency == 1.0
+        assert abs(stats.mean_steps_to_absorption - 2) < 4 * math.sqrt(2 / runs)
 
 
 def test_simulation_absorbs_only_within_the_step_bound():

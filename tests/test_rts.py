@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import successors_reference
 from rmc import (
+    Alphabet,
     AlphabetMismatch,
     CheckResult,
     MissingRelation,
@@ -26,6 +28,7 @@ from support import (
     lifted,
     mk_t,
     random_lp_transducer,
+    random_alphabet,
     random_padded_transducer,
     random_word_nfa,
     words_nfa,
@@ -145,6 +148,64 @@ def test_successors_match_the_post_image():
                 for cap in (1, 3, 50):
                     words, truncated = image.enumerate_words(cap)
                     assert rts.successors(config, cap) == (tuple(words), truncated)
+
+
+def _loose_transducer(rng: random.Random, alphabet: Alphabet) -> Transducer:
+    """A random transducer that may pad either track anywhere, so that it
+    is seldom padding-valid."""
+    symbols = (*alphabet.symbols, "#")
+    states = list(range(rng.randint(1, 4)))
+    triples = [
+        (q, f"{x}/{y}", r)
+        for q in states for x in symbols for y in symbols for r in states
+        if (x, y) != ("#", "#") and rng.random() < 0.15
+    ]
+    final = rng.sample(states, rng.randint(1, len(states)))
+    return mk_t(alphabet, alphabet, triples, [0], final, states)
+
+
+def _successor_corpus():
+    """The shipped bundles' step relations, then 150 seeded random ones,
+    every other one padded, and 40 that need not be padding-valid, each
+    with the longest word it is run on and its caps.  A padded relation
+    may list thousands of successors, so only the length-preserving ones
+    also run under the default cap."""
+    small = (0, 1, 2, 5, 50)
+    for name in sorted(p.name for p in DATA.iterdir()):
+        yield load_rts_bundle(DATA / name / "bundle.rts").delta, 4, (*small, None)
+    rng = random.Random(7)
+    for i in range(150):
+        alphabet = random_alphabet(rng)
+        if i % 2:
+            yield random_padded_transducer(rng, alphabet, alphabet), 5, small
+        else:
+            yield random_lp_transducer(rng, alphabet), 4, (*small, None)
+    for _ in range(40):
+        yield _loose_transducer(rng, random_alphabet(rng)), 4, small
+
+
+def test_successors_are_the_reference_successors():
+    for delta, longest, caps in _successor_corpus():
+        rts = Rts(universal_automaton(delta.top), delta)
+        for n in range(longest + 1):
+            for config in itertools.product(delta.top.symbols, repeat=n):
+                for cap in caps:
+                    expected = successors_reference.successors(rts, config, cap)
+                    assert rts.successors(config, cap) == expected, (config, cap)
+
+
+def test_successors_over_more_symbols_than_a_byte_holds():
+    # each symbol of a code then takes two bytes: a step shifts every
+    # symbol up by one and may append s0 or s299
+    many = Alphabet([f"s{i}" for i in range(300)])
+    shift = [("p", f"s{i}/s{(i + 1) % 300}", "p") for i in range(300)]
+    grow = [("p", "#/s299", "g"), ("p", "#/s0", "g")]
+    rts = Rts(universal_automaton(many), mk_t(many, many, shift + grow, ["p"], ["p", "g"]))
+    for config in [(), ("s0",), ("s255", "s299", "s5")]:
+        words, truncated = rts.successors(config)
+        assert (words, truncated) == successors_reference.successors(rts, config)
+        assert len(words) == 3 and not truncated
+    assert rts.successors(("s255",))[0] == (("s256",), ("s256", "s0"), ("s256", "s299"))
 
 
 def test_reachable_set_and_terminating():
