@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .alphabet import Word
 from .errors import DeterminismViolation, MissingRelation
 from .nfa import Nfa, constrained_search, universal_automaton, word_automaton
-from .procedures import _DRIFT_NOTE, _check_goal, _locate, check_egf
+from .procedures import _DRIFT_NOTE, _check_goal, _locate, check_ef, check_egf
 from .rts import Rts, ValidationReport, inclusion_checks
 from .transducer import Transducer, identity
 from .verdict import Verdict, fails, holds, unknown
@@ -112,14 +112,10 @@ def abstract_safety(rts: Rts, unsafe: Nfa) -> Verdict:
     """Is every potentially reachable configuration outside ``unsafe``?
     Holds soundly implies the concrete system never reaches ``unsafe``."""
     _check_goal(rts, unsafe)
-    potential = _potential(rts)
-    found = constrained_search([potential.reachable_set(), unsafe])
-    if found is None:
+    reached = check_ef(_potential(rts), unsafe)
+    if reached.fails:
         return holds(note="no unsafe configuration is potentially reachable")
-    return fails(
-        witness=_locate(potential, found),
-        note="an unsafe configuration is potentially reachable",
-    )
+    return fails(witness=reached.witness, note="an unsafe configuration is potentially reachable")
 
 
 def exists_infinite_potential_run(rts: Rts) -> Verdict:

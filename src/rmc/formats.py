@@ -36,6 +36,7 @@ check fails; a caller can check its own inputs in between.
 from __future__ import annotations
 
 import re
+from collections import deque
 from pathlib import Path
 
 from .alphabet import PAD, Alphabet, pair
@@ -47,27 +48,10 @@ from .transducer import Transducer
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_<>⟨⟩•◦()-]+$")
 
 
-class _Lines:
+def _lines(text: str) -> deque[tuple[int, str]]:
     """Comment-stripped, non-empty lines with their original numbers."""
-
-    def __init__(self, text: str):
-        self.items: list[tuple[int, str]] = []
-        for number, raw in enumerate(text.splitlines(), start=1):
-            content = raw.split(";", 1)[0].strip()
-            if content:
-                self.items.append((number, content))
-        self.pos = 0
-
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
-
-    def peek(self) -> tuple[int, str]:
-        return self.items[self.pos]
-
-    def take(self) -> tuple[int, str]:
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
+    stripped = enumerate((raw.split(";", 1)[0].strip() for raw in text.splitlines()), start=1)
+    return deque((number, content) for number, content in stripped if content)
 
 
 def _split_key(line: str, number: int) -> tuple[str, str]:
@@ -77,10 +61,10 @@ def _split_key(line: str, number: int) -> tuple[str, str]:
     return key.strip(), value.strip()
 
 
-def _expect_key(lines: _Lines, key: str) -> tuple[int, str]:
-    if lines.done():
+def _expect_key(lines: deque, key: str) -> tuple[int, str]:
+    if not lines:
         raise ParseError(f"unexpected end of file, expected '{key}:'")
-    number, line = lines.take()
+    number, line = lines.popleft()
     got, value = _split_key(line, number)
     if got != key:
         raise ParseError(f"expected '{key}:', found '{got}:'", number)
@@ -122,18 +106,18 @@ def _state_refs(value: str, number: int, known: set[str], what: str) -> list[str
 
 def parse_automaton(text: str) -> Nfa | Transducer:
     """Parse the text format; the ``type:`` line picks the result class."""
-    lines = _Lines(text)
+    lines = _lines(text)
     number, value = _expect_key(lines, "type")
     if value not in ("nfa", "transducer"):
         raise ParseError(f"type must be 'nfa' or 'transducer', got {value!r}", number)
     is_transducer = value == "transducer"
 
     deterministic = False
-    if not lines.done():
-        peek_number, peek_line = lines.peek()
+    if lines:
+        peek_number, peek_line = lines[0]
         key, det_value = _split_key(peek_line, peek_number) if ":" in peek_line else ("", "")
         if key == "deterministic":
-            lines.take()
+            lines.popleft()
             if det_value not in ("true", "false"):
                 raise ParseError(
                     f"deterministic must be 'true' or 'false', got {det_value!r}", peek_number
@@ -163,8 +147,8 @@ def parse_automaton(text: str) -> Nfa | Transducer:
 
     transitions: dict = {}
     seen_triples = set()
-    while not lines.done():
-        number, line = lines.take()
+    while lines:
+        number, line = lines.popleft()
         parts = line.split()
         if len(parts) != 3:
             raise ParseError(
@@ -280,10 +264,10 @@ def read_rts_bundle(path: str | Path) -> Rts:
     caller that checks its own inputs before :func:`require_valid`, whose
     inclusion checks build subsets and may stop at a state cap."""
     base = Path(path).parent
-    lines = _Lines(Path(path).read_text(encoding="utf-8"))
-    if lines.done():
+    lines = _lines(Path(path).read_text(encoding="utf-8"))
+    if not lines:
         raise ParseError("empty bundle file")
-    number, header = lines.take()
+    number, header = lines.popleft()
     if header != "rts":
         raise ParseError(f"bundle must start with 'rts', got {header!r}", number)
 
@@ -292,8 +276,8 @@ def read_rts_bundle(path: str | Path) -> Rts:
 
     loaded: dict[str, Nfa | Transducer] = {}
     expected = iter(_BUNDLE_KEYS)
-    while not lines.done():
-        number, line = lines.take()
+    while lines:
+        number, line = lines.popleft()
         key, value = _split_key(line, number)
         for candidate in expected:
             if candidate == key:

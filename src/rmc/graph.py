@@ -34,22 +34,12 @@ def bfs(edges, starts: Iterable[int], allowed=None):
     ``allowed`` optionally restricts both the start set and the nodes the
     search may enter.
     """
-    parents: dict = {}
-    order: list = []
-    for s in sorted(starts):
-        if allowed is not None and s not in allowed:
-            continue
-        if s not in parents:
-            parents[s] = None
-            order.append(s)
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    parents = dict.fromkeys(s for s in sorted(starts) if allowed is None or s in allowed)
+    # ``order`` grows while it is walked, which makes this breadth-first
+    order = list(parents)
+    for v in order:
         for w in edges[v]:
-            if allowed is not None and w not in allowed:
-                continue
-            if w not in parents:
+            if w not in parents and (allowed is None or w in allowed):
                 parents[w] = v
                 order.append(w)
     return order, parents

@@ -28,10 +28,10 @@ from typing import Callable
 from . import graph
 from .alphabet import PAD, Word
 from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, RmcError
-from .nfa import Nfa, constrained_search, word_automaton
+from .nfa import Nfa, constrained_search, start_pairs, word_automaton
 from .oracle import build_slice, oracle_check
 from .rts import Rts
-from .transducer import _moves_by_middle, identity_on
+from .transducer import identity_on
 from .verdict import Verdict, Witness, fails, holds, unknown
 
 DEFAULT_BOUND = 8
@@ -166,36 +166,31 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
 
 
 def _egf_clique(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
-    """The growth route on the reachable set ``reachable``."""
+    """The growth route on the reachable set ``reachable``.  Its chain is
+    fresh and read by no other route, so moves come from its transitions."""
     chain = rts.relation().compose(identity_on(goal))
     if chain.is_empty():
         return fails(note="no reachability pair lands in the goal")
     if not reachable.states:
         return fails(note="the reachable set is empty")
-    index, symbols = _moves_by_middle(chain, 0), rts.alphabet.symbols
+    moves, symbols = chain.transitions, rts.alphabet.symbols
 
-    def walk(step: Callable, accepting, roots) -> tuple[dict, dict]:
+    def walk(step: Callable, accepting, roots, entered: dict) -> dict:
         """Breadth-first from ``roots`` over state triples: the first reads
         a top-track letter x by ``step(state, x)``, the second runs the chain
         from x to a bottom-track letter y, and the third runs it on (y, y).
-        Maps the last two states of each triple whose first is ``accepting``
-        to the words spelled into it, the first met: ``reached`` takes
-        triples as found, roots first with no words, and ``entered`` moves
-        as walked, so a root only once a move enters it."""
+        Maps in ``entered`` the last two states of each triple a move enters
+        whose first is ``accepting`` to the words the first such move spelled."""
         found = dict.fromkeys(roots, ((), ()))
-        reached, entered = {}, {}
         # ``order`` grows while it is walked, which makes this breadth-first
         order = list(found)
         for a, b, c in order:
             xs, ys = found[a, b, c]
-            if a in accepting:
-                reached.setdefault((b, c), (xs, ys))
             for x in symbols:
                 a_next = step(a, x)
-                by_bottom = dict(index[b].get(x, ())) if a_next else {}
-                for y in symbols:
-                    b_next = by_bottom.get(y)
-                    c_next = b_next and dict(index[c].get(y, ())).get(y)
+                for y in symbols if a_next else ():
+                    b_next = moves.get((b, (x, y)))
+                    c_next = b_next and moves.get((c, (y, y)))
                     for target in itertools.product(a_next, b_next, c_next) if c_next else ():
                         words = (xs + (x,), ys + (y,))
                         if target[0] in accepting:
@@ -203,14 +198,15 @@ def _egf_clique(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
                         if target not in found:
                             found[target] = words
                             order.append(target)
-        return reached, entered
+        return entered
 
     # stage one: the comb's entries, reachable words against same-length prefixes
-    # in the chain's diagonal; roots in state order, so no set order shows
+    # in the chain's diagonal; roots in state order, so no set order shows, and
+    # an accepting root enters with no words before any move can
     starts = [q for q in chain.states if q in chain.initial]
-    firsts = [s for s in reachable.states if s in reachable.initial]
-    roots = itertools.product(firsts, starts, starts)
-    entries, _ = walk(lambda s, x: reachable.transitions.get((s, x)), reachable.final, roots)
+    roots = [(p, q, r) for p, q in start_pairs(reachable, chain) for r in starts]
+    at_roots = {(q, r): ((), ()) for p, q, r in roots if p in reachable.final}
+    entries = walk(lambda s, x: reachable.transitions.get((s, x)), reachable.final, roots, at_roots)
     if not entries:
         return fails(note="no reachable configuration starts a comb")
 
@@ -218,7 +214,7 @@ def _egf_clique(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
     # end of its configuration; ``comb`` is filled once per node, read sorted
     def edges_from(node):
         p, q = node
-        return walk(lambda r, x: dict(index[r].get(PAD, ())).get(x), chain.final, [(p, q, q)])[1]
+        return walk(lambda r, x: moves.get((r, (PAD, x))), chain.final, [(p, q, q)], {})
 
     comb: dict = {}
     graph.closure(entries, lambda node: comb.setdefault(node, edges_from(node)))
@@ -434,7 +430,16 @@ def run_check(
     """Dispatch a property check by name; the command line goes through
     here so the names are part of the interface.  A check that outgrows
     a cap raises :class:`~rmc.errors.CapExceeded`, as every check does;
-    :func:`rmc.cli.main` alone turns it into Unknown, naming the command."""
+    :func:`rmc.cli.main` alone turns it into Unknown, naming the command.
+
+    :meth:`Rts.validate` proves only that ``reach`` contains every run
+    (``reach`` ⊇ δ*).  Sound on that alone: Fails of ``ef``; Fails of
+    ``egf`` on a length-preserving system; Holds of ``deadlock-free``; any
+    answer whose witness replays through delta, as the bounded checks' do.
+    These also need ``reach`` ⊆ δ*, which nothing checks: Holds of ``as-gf``
+    and ``as-term``; Holds of ``ef`` or ``egf`` with a ``pair`` or hop
+    witness (an ``egf-loop`` closing hop, any ``clique-prefix`` step);
+    Fails with a ``pair`` witness."""
     name = property_name.lower()
     prop = PROPERTIES.get(name)
     if prop is None:

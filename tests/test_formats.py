@@ -137,6 +137,9 @@ _MEMBERS = {
 _PARSE_ERRORS = [
     ("x.nfa", "type: nfa\nalphabet a\n", 2, "expected a 'key: value' line, got 'alphabet a'"),
     ("x.nfa", "type: nfa\nalphabet: a\n", None, "unexpected end of file, expected 'states:'"),
+    ("x.nfa", "type: nfa\n", None, "unexpected end of file, expected 'alphabet:'"),
+    ("x.t", "type: transducer\ndeterministic: true\n", None,
+     "unexpected end of file, expected 'alphabet-top:'"),
     ("x.nfa", "type: nfa\nalphabet: a$\n", 2, "bad symbol token 'a$'"),
     ("x.nfa", "type: nfa\nalphabet:\n", 2, "alphabet must not be empty"),
     ("x.nfa", "type: nfa\nalphabet: a\nstates: p\ninitial: q\n", 4,
