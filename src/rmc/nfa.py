@@ -8,7 +8,9 @@ counterexample) are always of minimal length with ties broken by alphabet
 order, so repeated runs produce identical output.  Every search for a
 word is :func:`constrained_search`: the least word of ∩P minus ∩N.  Only
 the negatives N are determinized, lazily, behind the state cap; the
-positives P are one nondeterministic product.
+positives P are one nondeterministic product.  Every walk reads an
+automaton's ``(moves, accepting, initial)`` view, and one lazy subset
+construction both counts the words of a length and lists them.
 
 Every product of two automata walks the state pairs that read one symbol
 on a shared middle track: :func:`_product` builds it, trimmed, and
@@ -167,22 +169,9 @@ class Nfa:
             f"transitions={sum(len(v) for v in self.transitions.values())}>"
         )
 
-    def step(self, current: frozenset, sym) -> frozenset:
-        """One subset-simulation step."""
-        out: set = set()
-        trans = self.transitions
-        for q in current:
-            out.update(trans.get((q, sym), ()))
-        return frozenset(out)
-
     def accepts(self, word: Sequence) -> bool:
         self.alphabet.check_word(word)
-        current = frozenset(self.initial)
-        for sym in word:
-            current = self.step(current, sym)
-            if not current:
-                return False
-        return bool(current & self.final)
+        return _accepts(self._view(), word)
 
     def shortest_word(self) -> tuple | None:
         """Shortest accepted word, lexicographically least by alphabet order.
@@ -303,22 +292,20 @@ class Nfa:
         Returns ``(words, truncated)`` where ``truncated`` says whether the
         language holds more than ``limit`` words.
         """
-        coreach = self._coreachable()
-        out: list = []
-        start = frozenset(q for q in self.initial if q in coreach)
-        if self.initial & self.final:
-            out.append(())
+        moves, accepting, initial = self._view()
+        coreach = frozenset(map(self._pos.__getitem__, self._coreachable()))
+        out: list = [()] if any(accepting[q] for q in initial) else []
+        start = initial & coreach
         level: dict = {(): start} if start else {}
         while level and len(out) <= limit:
             nxt: dict = {}
             for word, subset in level.items():
                 for sym in self.alphabet.symbols:
-                    stepped = self.step(subset, sym)
-                    if stepped & self.final:
+                    live = _step(moves, subset, sym) & coreach
+                    if any(accepting[q] for q in live):
                         out.append(word + (sym,))
                         if len(out) > limit:
                             return out[:limit], True
-                    live = frozenset(q for q in stepped if q in coreach)
                     if live:
                         nxt[word + (sym,)] = live
             level = nxt
@@ -328,40 +315,30 @@ class Nfa:
         """The accepted words of ``length`` in alphabet order, or None when
         there are more than ``limit`` of them.
 
-        They are counted first, so a length over the limit or with no word
-        is answered before any is listed.  The listing walks the subsets
-        depth first, each pruned to the states that can still accept in
-        exactly the steps left, so every branch it takes ends in a word.
+        They are counted first, as :meth:`count_words` counts them, so a
+        length over the limit or with no word is answered before any is
+        listed.  The listing steps the subsets the count met, keeping at
+        each depth only those that accept some word in exactly the steps
+        left, so every prefix it keeps ends in a word.
         """
-        count = self.count_words(length)
+        count, subsets = self._count(length)
         if count > limit:
             return None
         if not count:
             return []
-        back: dict = {}
-        for (q, _sym), dsts in self.transitions.items():
-            for r in dsts:
-                back.setdefault(r, set()).add(q)
-        # live[k]: the states that accept some word of exactly k symbols
-        live = [self.final]
-        for _ in range(length):
-            live.append(frozenset(q for r in live[-1] for q in back.get(r, ())))
-        out: list = []
-        start = self.initial & live[length]
-        stack = [((), start)] if start else []
-        backwards = self.alphabet.symbols[::-1]
-        while stack:
-            word, subset = stack.pop()
-            left = length - len(word)
-            if not left:
-                out.append(word)
-                continue
-            # pushed last to first, so the first symbol is walked first
-            for sym in backwards:
-                stepped = self.step(subset, sym) & live[left - 1]
-                if stepped:
-                    stack.append((word + (sym,), stepped))
-        return out
+        # live[k]: the subsets met that accept some word of exactly k symbols
+        live = [{subset for subset in subsets.found if subsets.final(subset)}]
+        for _ in range(1, length):
+            live.append({p for (p, _sym), stepped in subsets.steps.items() if stepped in live[-1]})
+        level = [((), subsets.start)]
+        for left in reversed(range(length)):
+            level = [
+                (word + (sym,), stepped)
+                for word, subset in level
+                for sym in self.alphabet.symbols
+                if (stepped := subsets.step(subset, sym)) in live[left]
+            ]
+        return [word for word, _subset in level]
 
     def count_words(self, length: int) -> int:
         """The number of accepted words of ``length``.
@@ -370,6 +347,10 @@ class Nfa:
         the work grows with the subsets met, not with the words, and stops
         at the first length no word reaches.
         """
+        return self._count(length)[0]
+
+    def _count(self, length: int) -> tuple[int, "_Subsets"]:
+        """:meth:`count_words`'s count, with the subsets it stepped."""
         subsets = _Subsets(self, _state_cap(None))
         level = {subsets.start: 1}
         for _ in range(length):
@@ -380,9 +361,9 @@ class Nfa:
                     if stepped:
                         nxt[stepped] = nxt.get(stepped, 0) + count
             if not nxt:
-                return 0
+                return 0, subsets
             level = nxt
-        return sum(count for subset, count in level.items() if subsets.final(subset))
+        return sum(count for subset, count in level.items() if subsets.final(subset)), subsets
 
 
 # -- on-the-fly product search ------------------------------------------------------
@@ -408,13 +389,27 @@ class LazyNfa:
         ))
 
     def accepts(self, word: Sequence) -> bool:
-        current = self.initial
-        for sym in word:
-            current = {r for q in current for r in self.moves[q].get(sym, ())}
-        return any(self.accepting[q] for q in current)
+        return _accepts(self._view(), word)
 
     def _view(self) -> tuple:
         return self.moves, self.accepting, self.initial
+
+
+def _step(moves, states, sym) -> set:
+    """The states that ``states`` reach on ``sym`` by a view's ``moves``:
+    one step of a walk over state sets."""
+    return {r for q in states for r in moves[q].get(sym, ())}
+
+
+def _accepts(view: tuple, word: Sequence) -> bool:
+    """Does the automaton of ``view`` accept ``word``?  One walk over its
+    state sets, given up once the set goes empty."""
+    moves, accepting, states = view
+    for sym in word:
+        states = _step(moves, states, sym)
+        if not states:
+            return False
+    return any(accepting[q] for q in states)
 
 
 class _Memo(dict):
@@ -453,15 +448,16 @@ class _Subsets:
     Subsets are frozensets of states, by position for an :class:`Nfa`.
     ``found`` lists them in the order :meth:`step` first produced them,
     starting with ``start``, and ``number`` maps each to its place in that
-    list.  Steps are memoized; a step that would make more than ``cap``
-    subsets raises :class:`StateCapExceeded`.
+    list.  Steps are memoized in ``steps``, keyed by ``(subset, symbol)``;
+    a step that would make more than ``cap`` subsets raises
+    :class:`StateCapExceeded`.
     """
 
-    __slots__ = ("start", "found", "number", "_moves", "_accepting", "_steps", "_cap")
+    __slots__ = ("start", "found", "number", "steps", "_moves", "_accepting", "_cap")
 
     def __init__(self, automaton: Nfa | LazyNfa, cap: int):
         self._moves, self._accepting, self.start = automaton._view()
-        self._steps: dict = {}
+        self.steps: dict = {}
         self._cap = cap
         self.found = [self.start]
         self.number = {self.start: 0}
@@ -471,13 +467,9 @@ class _Subsets:
 
     def step(self, subset: frozenset, sym) -> frozenset:
         key = (subset, sym)
-        nxt = self._steps.get(key)
+        nxt = self.steps.get(key)
         if nxt is None:
-            out: set = set()
-            moves = self._moves
-            for p in subset:
-                out.update(moves[p].get(sym, ()))
-            nxt = frozenset(out)
+            nxt = frozenset(_step(self._moves, subset, sym))
             if nxt not in self.number:
                 if len(self.found) >= self._cap:
                     raise StateCapExceeded(
@@ -485,7 +477,7 @@ class _Subsets:
                     )
                 self.number[nxt] = len(self.found)
                 self.found.append(nxt)
-            self._steps[key] = nxt
+            self.steps[key] = nxt
         return nxt
 
 

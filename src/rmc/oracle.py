@@ -6,9 +6,11 @@ here by brute force: reachability, cycles, strongly connected components,
 bottom SCCs, and seeded random walks.  :func:`oracle_check` decides
 most properties by a breadth-first walk from the initial configurations
 that stops at the first configuration meeting the property's stopping
-rule, and finds lassos with one cycle search.  The oracle exists to
-cross-check the transducer-based procedures and to lift explicitly
-computed closures back into transducer form.
+rule, and finds lassos with one cycle search.  One capped breadth-first
+walk through the system's successors, :func:`slice_walk`, builds every
+slice and every stepwise witness path of :mod:`rmc.procedures`.  The
+oracle exists to cross-check the transducer-based procedures and to lift
+explicitly computed closures back into transducer form.
 """
 
 from __future__ import annotations
@@ -67,11 +69,8 @@ def build_slice(
     if not rts.length_preserving:
         raise NotLengthPreserving("slices are only defined for length-preserving systems")
     alphabet = rts.alphabet
-    over_cap = f"slice would hold more than the cap of {config_cap} reachable configurations"
     if reachable:
         roots = starts = rts.initial.words_of_length(length, config_cap)
-        if starts is None:
-            raise CapExceeded(over_cap)
     else:
         total = len(alphabet) ** length
         if total > config_cap:
@@ -80,15 +79,7 @@ def build_slice(
             )
         roots = list(itertools.product(alphabet.symbols, repeat=length))
         starts = [c for c in roots if rts.initial.accepts(c)]
-    found: dict[Word, tuple[Word, ...]] = {}
-
-    def visit(config: Word) -> tuple[Word, ...]:
-        found[config], truncated = rts.successors(config, config_cap)
-        if truncated or len(found) > config_cap:
-            raise CapExceeded(over_cap)
-        return found[config]
-
-    graph.closure(roots, visit)
+    _parents, found = slice_walk(rts, roots, config_cap)
     rank = {a: i for i, a in enumerate(alphabet.symbols)}
     configurations = tuple(sorted(found, key=lambda c: [rank[a] for a in c]))
     index = {c: i for i, c in enumerate(configurations)}
@@ -111,6 +102,34 @@ def build_slice(
         bottom_sccs=frozenset(bottom),
         index=index,
     )
+
+
+def slice_walk(rts: Rts, roots, cap: int, target: Word | None = None) -> tuple[dict, dict]:
+    """Breadth-first from ``roots`` through :meth:`Rts.successors`, each
+    in alphabet order, until ``target`` is found: ``(parents, successors)``
+    map each configuration found to the one it was first found from (None
+    for a root) and each one stepped to its successors.  Raises
+    :class:`CapExceeded` when ``roots`` is None (``words_of_length`` found
+    more than ``cap``), when a configuration has more than ``cap``
+    successors, or when it steps one after finding more than ``cap``."""
+    over_cap = f"slice would hold more than the cap of {cap} reachable configurations"
+    if roots is None:
+        raise CapExceeded(over_cap)
+    parents = dict.fromkeys(roots)
+    successors: dict = {}
+    # ``order`` grows while it is walked, which makes this breadth-first
+    order = list(parents)
+    for config in order:
+        if target in parents:
+            break
+        successors[config], truncated = rts.successors(config, cap)
+        if truncated or len(parents) > cap:
+            raise CapExceeded(over_cap)
+        for successor in successors[config]:
+            if successor not in parents:
+                parents[successor] = config
+                order.append(successor)
+    return parents, successors
 
 
 def _witness(slice_: FiniteSlice, parents: dict, v: int, loop: set | None = None) -> Witness:

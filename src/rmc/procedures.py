@@ -29,7 +29,7 @@ from . import graph
 from .alphabet import PAD, Word
 from .errors import AlphabetMismatch, CapExceeded, NotLengthPreserving, RmcError
 from .nfa import Nfa, constrained_search, start_pairs, word_automaton
-from .oracle import build_slice, oracle_check
+from .oracle import build_slice, oracle_check, slice_walk
 from .rts import Rts
 from .transducer import identity_on
 from .verdict import Verdict, Witness, fails, holds, unknown
@@ -53,7 +53,7 @@ def _locate(rts: Rts, target: Word) -> Witness:
     try:
         path = _step_path(rts, target) if rts.length_preserving else None
     except CapExceeded:
-        path = None  # a subset construction outgrew the state cap
+        path = None  # a cap came first: the walk's, or the state cap of its count
     if path is not None:
         return Witness("path", path)
     here = word_automaton(rts.alphabet, target)
@@ -62,26 +62,12 @@ def _locate(rts: Rts, target: Word) -> Witness:
 
 
 def _step_path(rts: Rts, target: Word) -> tuple[Word, ...] | None:
-    """Breadth-first from the initial words of the target's length through
-    successors, each in alphabet order; None if a cap comes first."""
-    cap = _WITNESS_SLICE_CAP
-    starts = rts.initial.words_of_length(len(target), cap)
-    if starts is None:
-        return None
-    parents = dict.fromkeys(starts)
-    # ``order`` grows while it is walked, which makes this breadth-first
-    order = list(parents)
-    for config in order:
-        if target in parents:
-            return tuple(graph.path_to(parents, target))
-        successors, truncated = rts.successors(config, cap)
-        if truncated or len(parents) > cap:
-            return None
-        for successor in successors:
-            if successor not in parents:
-                parents[successor] = config
-                order.append(successor)
-    return None
+    """The path :func:`~rmc.oracle.slice_walk` gives from the initial
+    words of the target's length to it, or None; raises
+    :class:`CapExceeded` when a cap comes first."""
+    starts = rts.initial.words_of_length(len(target), _WITNESS_SLICE_CAP)
+    parents, _successors = slice_walk(rts, starts, _WITNESS_SLICE_CAP, target)
+    return tuple(graph.path_to(parents, target)) if target in parents else None
 
 
 # -- reachability ---------------------------------------------------------------
@@ -338,10 +324,10 @@ def _bounded(rts: Rts, prop: str, goal: Nfa | None, bound: int) -> Verdict:
         )
     if goal is not None:
         _check_goal(rts, goal)
-    initial = rts.initial.trim()
-    n, frontier = 0, initial.initial  # its states at depth n; none past the longest word
+    moves, accepting, frontier = rts.initial.trim()._view()
+    n = 0  # ``frontier``: the trimmed states at depth n; none past the longest word
     while frontier and n <= bound:
-        if frontier & initial.final:  # else the slice is empty: AF, AGF and ASF hold
+        if any(accepting[q] for q in frontier):  # else the slice is empty: AF, AGF and ASF hold
             try:
                 slice_ = build_slice(rts, n, reachable=True)
             except CapExceeded as err:
@@ -352,7 +338,7 @@ def _bounded(rts: Rts, prop: str, goal: Nfa | None, bound: int) -> Verdict:
             if not satisfied:
                 _replay(rts, witness)
                 return fails(witness=witness, bound=n)
-        frontier = frozenset().union(*(initial.step(frontier, a) for a in rts.alphabet.symbols))
+        frontier = {r for q in frontier for targets in moves[q].values() for r in targets}
         n += 1
     if not frontier:
         return holds(note=f"all initial configurations have length at most {bound}")

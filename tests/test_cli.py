@@ -260,19 +260,22 @@ def test_lengths_are_checked_when_parsed(capsys, argv, flag, value):
 
 
 def test_simulate_deterministic(capsys):
-    args = (
-        "simulate", "--rts", "toggle", "--from", "a",
-        "--runs", "40", "--steps", "5", "--seed", "9", "--json",
-    )
-    code, first, _ = run(capsys, *args)
-    assert code == 0
-    code, second, _ = run(capsys, *args)
-    first, second = json.loads(first), json.loads(second)
-    first.pop("elapsed_ms"), second.pop("elapsed_ms")
-    assert first == second
-    data = first
-    assert data["stats"]["termination_frequency"] == 1.0
-    assert data["stats"]["runs"] == 40
+    # ``ε`` names the empty word, which toggle cannot step: every run ends at once
+    for start, steps, mean_steps in (("a", "5", 1.0), ("ε", "3", 0.0)):
+        args = (
+            "simulate", "--rts", "toggle", "--from", start,
+            "--runs", "40", "--steps", steps, "--seed", "9", "--json",
+        )
+        code, first, _ = run(capsys, *args)
+        assert code == 0
+        code, second, _ = run(capsys, *args)
+        first, second = json.loads(first), json.loads(second)
+        first.pop("elapsed_ms"), second.pop("elapsed_ms")
+        assert first == second
+        data = first
+        assert data["stats"]["termination_frequency"] == 1.0
+        assert data["stats"]["mean_steps_to_absorption"] == mean_steps
+        assert data["stats"]["runs"] == 40
 
 
 _NUMPY_ON_DEMAND = """

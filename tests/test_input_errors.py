@@ -9,18 +9,24 @@ import pytest
 
 from rmc import (
     Alphabet,
+    AlphabetMismatch,
+    Nfa,
     NotLengthPreserving,
     SimulationConfig,
     Witness,
     build_slice,
+    diagonal,
     load_rts_bundle,
     oracle_check,
+    pair,
+    relation_difference_identity,
     relation_to_transducer,
     simulate,
+    universal,
     universal_automaton,
 )
 from rmc.cli import main
-from support import AB
+from support import AB, A
 
 TOGGLE = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data" / "toggle"
 INIT, DELTA = str(TOGGLE / "init.nfa"), str(TOGGLE / "delta.t")
@@ -82,6 +88,68 @@ _ERRORS = [
         lambda: exit_and_error("algebra", "image", INIT, DELTA),
         usage(f"{INIT}: image needs a transducer first"),
         id="algebra image kinds",
+    ),
+    pytest.param(
+        lambda: exit_and_error("check", "ef", "--rts", "toggle", "--goal", "nosuch"),
+        usage("no automaton file 'nosuch'"),
+        id="goal file missing",
+    ),
+    pytest.param(
+        lambda: exit_and_error("check", "ef", "--rts", "toggle", "--goal", DELTA),
+        usage(f"{DELTA}: expected a language automaton, found a transducer"),
+        id="goal is a transducer",
+    ),
+    pytest.param(
+        lambda: exit_and_error(
+            "constraint", "inductive", "--interp", INIT, "--rts", "toggle", "--constraint", "a"
+        ),
+        usage(f"{INIT}: expected a transducer, found a language automaton"),
+        id="interpretation is a language automaton",
+    ),
+    pytest.param(
+        lambda: raised(lambda: Alphabet([""])),
+        (ValueError, "alphabet symbol must be a nonempty string, got ''"),
+        id="alphabet empty symbol",
+    ),
+    pytest.param(
+        lambda: raised(lambda: Alphabet(["a#"])),
+        (ValueError, "illegal character '#' in alphabet symbol 'a#'"),
+        id="alphabet padding character",
+    ),
+    pytest.param(
+        lambda: raised(lambda: Alphabet([])),
+        (ValueError, "alphabet must be nonempty"),
+        id="alphabet empty",
+    ),
+    pytest.param(
+        lambda: raised(lambda: Alphabet(["a", "a"])),
+        (ValueError, "duplicate symbols in alphabet ('a', 'a')"),
+        id="alphabet duplicate symbols",
+    ),
+    pytest.param(
+        lambda: raised(lambda: pair("#", "#")),
+        (ValueError, "pair symbol cannot be padded on both tracks"),
+        id="pair padded on both tracks",
+    ),
+    pytest.param(
+        lambda: raised(lambda: Nfa(AB, [0], {(1, "a"): (0,)}, [0], [0])),
+        (ValueError, "transition from unknown state 1"),
+        id="nfa transition from an unknown state",
+    ),
+    pytest.param(
+        lambda: raised(lambda: Nfa(AB, [0], {(0, "c"): (0,)}, [0], [0])),
+        (ValueError, "transition symbol 'c' not in alphabet"),
+        id="nfa transition on an unknown symbol",
+    ),
+    pytest.param(
+        lambda: raised(lambda: diagonal(universal(AB, A))),
+        (AlphabetMismatch, "diagonal needs equal top and bottom alphabets"),
+        id="diagonal of unequal tracks",
+    ),
+    pytest.param(
+        lambda: raised(lambda: relation_difference_identity(universal(AB, A))),
+        (AlphabetMismatch, "identity removal needs equal track alphabets"),
+        id="identity removal of unequal tracks",
     ),
     pytest.param(
         lambda: raised(lambda: oracle_check(build_slice(toggle(), 1), "EF")),

@@ -16,10 +16,13 @@ from rmc import (
     empty_automaton,
     length_automaton,
     load_automaton,
+    load_rts_bundle,
     universal_automaton,
     word_automaton,
 )
 from rmc.nfa import start_pairs
+
+import walks_reference
 from support import A, AB, ABC, mk_nfa, random_nfa, random_padded_transducer, words_nfa
 
 
@@ -205,6 +208,52 @@ def test_words_of_length_lists_what_the_length_product_enumerates():
             assert nfa.words_of_length(n, count) == same_length.enumerate_words(count)[0]
             if count:
                 assert nfa.words_of_length(n, count - 1) is None
+
+
+def _walk_cases() -> list:
+    """Seeded random automata over AB and ABC, every other one with an
+    unreachable state and a dead one added, every shipped ``.nfa`` and
+    each shipped bundle's trimmed initial language."""
+    rng = random.Random(2525)
+    cases = []
+    for i in range(80):
+        nfa = random_nfa(rng, rng.choice([AB, ABC]), max_states=6)
+        if i % 2:
+            first, sym = min(nfa.initial), rng.choice(nfa.alphabet.symbols)
+            transitions = dict(nfa.transitions)
+            transitions[(first, sym)] = transitions.get((first, sym), ()) + ("dead",)
+            transitions[("dead", sym)] = ("dead",)
+            transitions[("unreachable", sym)] = (first,)
+            nfa = Nfa(nfa.alphabet, (*nfa.states, "dead", "unreachable"), transitions,
+                      nfa.initial, nfa.final | {"unreachable"})
+        cases.append(nfa)
+    data = Path(rmc.__file__).resolve().parent / "data"
+    cases += [load_automaton(path) for path in sorted(data.glob("*/*.nfa"))]
+    cases += [load_rts_bundle(path).initial.trim() for path in sorted(data.glob("*/bundle.rts"))]
+    assert sum(len(nfa.initial) > 1 for nfa in cases) > 10
+    return cases
+
+
+def test_walks_are_the_reference_walks():
+    """``accepts``, ``enumerate_words``, ``count_words`` and
+    ``words_of_length`` give what the label-keyed subset walks of
+    ``walks_reference`` give: every word up to length 5, enumeration
+    limits 0, 1, 5 and 50, and lengths 0 to 6 with limits count - 1 and
+    count."""
+    listed = 0
+    for nfa in _walk_cases():
+        for word in all_words(nfa.alphabet, 5):
+            assert nfa.accepts(word) == walks_reference.accepts(nfa, word), (nfa, word)
+        for limit in (0, 1, 5, 50):
+            assert nfa.enumerate_words(limit) == walks_reference.enumerate_words(nfa, limit)
+        for n in range(7):
+            count = walks_reference.count_words(nfa, n)
+            assert nfa.count_words(n) == count
+            for limit in (count - 1, count):
+                expected = walks_reference.words_of_length(nfa, n, limit)
+                assert nfa.words_of_length(n, limit) == expected, (nfa, n, limit)
+                listed += len(expected or ())
+    assert listed > 10000
 
 
 def test_trim_preserves_language():

@@ -1,5 +1,6 @@
 """Decision procedures on crafted systems plus oracle agreement samples."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -12,6 +13,7 @@ from rmc import (
     PROPERTIES,
     Alphabet,
     AlphabetMismatch,
+    CapExceeded,
     Nfa,
     Outcome,
     RmcError,
@@ -41,9 +43,10 @@ from rmc import (
     universal_automaton,
 )
 from rmc.oracle import build_slice, oracle_check
-from rmc.procedures import _locate, _replay
+from rmc.procedures import _WITNESS_SLICE_CAP, _locate, _replay, _step_path
 
 import clique_reference
+import walks_reference
 from support import (
     A,
     AB,
@@ -293,6 +296,45 @@ def test_locate_finds_a_path_inside_a_slice_over_the_cap():
     rts = Rts(words_nfa(AB, {start}), flip)
     target = ("b",) + start[1:]
     assert _locate(rts, target) == Witness("path", (start, target))
+
+
+def _path_or_none(find):
+    """The path ``find`` gives, or None where a cap stopped it."""
+    try:
+        return find()
+    except CapExceeded:
+        return None
+
+
+def test_step_path_is_the_reference_path(monkeypatch):
+    """The slice walk gives the path the witness queue of
+    ``walks_reference`` gives, and no path where a cap stopped that queue:
+    every reachable configuration of lengths 1 to 6 and every word of
+    lengths 1 to 3 of the shipped length-preserving bundles and of 60
+    random systems (whose configurations reach no further than length 4),
+    under the witness cap and under caps low enough to stop the walk
+    before some targets and after others."""
+    rng = random.Random(2525)
+    systems = [random_lp_rts(rng, with_reach=False)[0] for _ in range(60)]
+    for bundle in sorted(DATA.iterdir()):
+        rts = load_rts_bundle(bundle / "bundle.rts")
+        if rts.length_preserving:
+            systems.append(rts)
+    cases = []
+    for rts in systems:
+        for n in range(1, 7):
+            targets = set(build_slice(rts, n, reachable=True).configurations)
+            if n <= 3:
+                targets.update(itertools.product(rts.alphabet.symbols, repeat=n))
+            cases += [(rts, target) for target in sorted(targets)]
+    outcomes = set()
+    for cap in (_WITNESS_SLICE_CAP, 1, 2, 3, 5, 8):
+        monkeypatch.setattr("rmc.procedures._WITNESS_SLICE_CAP", cap)
+        for rts, target in cases:
+            expected = _path_or_none(lambda: walks_reference._step_path(rts, target, cap))
+            assert _path_or_none(lambda: _step_path(rts, target)) == expected, (cap, target)
+            outcomes.add((cap == _WITNESS_SLICE_CAP, expected is None))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("initial, reach, note", [
