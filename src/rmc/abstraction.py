@@ -104,7 +104,7 @@ def validate_preach(rts: Rts) -> ValidationReport:
     return ValidationReport(inclusion_checks(potential, (
         ("identity-within-preach", identity(rts.alphabet)),
         ("delta-within-preach", rts.delta),
-        ("preach-transitive", potential.compose(potential)),
+        ("preach-transitive", potential.lazy_compose(potential)),
     )))
 
 
@@ -155,7 +155,7 @@ def abstract_as_liveness(rts: Rts, goal: Nfa, pre_of_goal: Nfa) -> Verdict:
     potential = _potential(rts)
     domain = rts.delta.lazy_domain()
     found = constrained_search(
-        [potential.reachable_set()],
+        [potential.lazy_reachable_set()],
         [domain, pre_of_goal, potential.relation().lazy_pre_image(goal)],
     )
     if found is not None:

@@ -274,7 +274,7 @@ class Nfa:
         final = [i for i, subset in enumerate(found) if not subsets.final(subset)]
         return self._make(tuple(range(len(found))), transitions, [0], final)
 
-    def includes(self, other: "Nfa") -> tuple[bool, tuple | None]:
+    def includes(self, other: "Nfa | LazyNfa") -> tuple[bool, tuple | None]:
         """Language inclusion L(other) <= L(self), decided on the fly.
 
         Returns ``(True, None)`` or ``(False, w)`` where ``w`` is a

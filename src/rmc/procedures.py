@@ -10,7 +10,8 @@ Each configuration a symbolic check reports, save those the growth
 route's comb walk spells (:func:`check_egf_clique`), is one search,
 :func:`~rmc.nfa.constrained_search`: the reachable set and the goal are
 its positives, the languages every reachable configuration must be in
-its negatives, and only those meet the state cap.
+its negatives, and only those meet the state cap.  Every search reads
+the reachable set lazily; the comb walk alone builds it.
 
 Witness step granularity differs by route: bounded checks produce
 single-step witnesses replayable against the step relation, while the
@@ -76,7 +77,7 @@ def _step_path(rts: Rts, target: Word) -> tuple[Word, ...] | None:
 def check_ef(rts: Rts, goal: Nfa) -> Verdict:
     """Is some goal configuration reachable from the initial set?"""
     _check_goal(rts, goal)
-    found = constrained_search([rts.reachable_set(), goal])
+    found = constrained_search([rts.lazy_reachable_set(), goal])
     if found is None:
         return fails(note="no goal configuration in the reachable set")
     return holds(witness=_locate(rts, found))
@@ -84,7 +85,7 @@ def check_ef(rts: Rts, goal: Nfa) -> Verdict:
 
 def check_deadlock_freedom(rts: Rts) -> Verdict:
     """Does every reachable configuration have at least one successor?"""
-    found = constrained_search([rts.reachable_set()], [rts.delta.lazy_domain()])
+    found = constrained_search([rts.lazy_reachable_set()], [rts.delta.lazy_domain()])
     if found is None:
         return holds(note="every reachable configuration has a successor")
     return fails(
@@ -110,12 +111,12 @@ def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
     finite length class.
     """
     _check_goal(rts, goal)
-    return _egf_loop(rts, goal, rts.reachable_set())
+    return _egf_loop(rts, goal)
 
 
-def _egf_loop(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
-    """The cycle route on the reachable set ``reachable``."""
-    relation = rts.relation()
+def _egf_loop(rts: Rts, goal: Nfa) -> Verdict:
+    """The cycle route, on a goal of the system's alphabet."""
+    relation, reachable = rts.relation(), rts.lazy_reachable_set()
     config = constrained_search([reachable, goal, rts.delta.lazy_round_trip(relation)])
     if config is None:
         return fails(note="no reachable goal configuration lies on a cycle")
@@ -148,15 +149,17 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
     _check_goal(rts, goal)
     if rts.length_preserving:
         return fails(note="the growth route does not apply to length-preserving systems")
-    return _egf_clique(rts, goal, rts.reachable_set())
+    return _egf_clique(rts, goal)
 
 
-def _egf_clique(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
-    """The growth route on the reachable set ``reachable``.  Its chain is
-    fresh and read by no other route, so moves come from its transitions."""
+def _egf_clique(rts: Rts, goal: Nfa) -> Verdict:
+    """The growth route, on a goal of the system's alphabet.  Its chain
+    and the built reachable set are fresh and read by no other route, so
+    moves come from their transitions."""
     chain = rts.relation().compose(identity_on(goal))
     if chain.is_empty():
         return fails(note="no reachability pair lands in the goal")
+    reachable = rts.reachable_set()
     if not reachable.states:
         return fails(note="the reachable set is empty")
     moves, symbols = chain.transitions, rts.alphabet.symbols
@@ -237,13 +240,13 @@ def _egf_clique(rts: Rts, goal: Nfa, reachable: Nfa) -> Verdict:
 
 def check_egf(rts: Rts, goal: Nfa) -> Verdict:
     """Can some run visit the goal infinitely often?  Tries the cycle
-    route first and the growth route second, on one reachable set."""
+    route first, which searches the reachable set lazily, and the growth
+    route second, which alone builds it."""
     _check_goal(rts, goal)
-    reachable = rts.reachable_set()
-    by_loop = _egf_loop(rts, goal, reachable)
+    by_loop = _egf_loop(rts, goal)
     if by_loop.holds or rts.length_preserving:
         return by_loop
-    by_clique = _egf_clique(rts, goal, reachable)
+    by_clique = _egf_clique(rts, goal)
     return by_clique if by_clique.holds else fails(note=f"{by_loop.note}; {by_clique.note}")
 
 
@@ -267,7 +270,7 @@ def check_as_gf(rts: Rts, goal: Nfa) -> Verdict:
     dom(delta) and the goal's pre-image under reach, are lazy."""
     _check_goal(rts, goal)
     domain = rts.delta.lazy_domain()
-    reachable = rts.reachable_set()
+    reachable = rts.lazy_reachable_set()
     found = constrained_search([reachable], [domain, rts.relation().lazy_pre_image(goal)])
     if found is None:
         note = "every reachable configuration can step and can reach the goal"
@@ -289,7 +292,7 @@ def check_as_termination(rts: Rts) -> Verdict:
     length-preserving system and is Unknown on any other.  The pre-image
     under reach of the successor-free configurations is lazy."""
     can_halt = rts.relation().lazy_pre_image(rts.terminating())
-    found = constrained_search([rts.reachable_set()], [can_halt])
+    found = constrained_search([rts.lazy_reachable_set()], [can_halt])
     if found is None:
         note = "every reachable configuration can reach a successor-free one"
         if not rts.length_preserving:

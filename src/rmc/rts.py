@@ -11,10 +11,11 @@ closure of the step relation.
 An :class:`Rts` holds its automata and nothing derived from them; what
 derives from ``delta`` alone is kept on that transducer.
 
-:meth:`Rts.relation` and :meth:`Rts.reachable_set` read ``reach`` only, so
-the decision procedures answer for the concrete system.  ``preach`` is
-read by :mod:`rmc.abstraction` alone, which runs the same procedures on a
-copy of the system whose ``reach`` is the supplied ``preach``.
+:meth:`Rts.relation` and the reachable set, lazy for a search or built,
+read ``reach`` only, so the decision procedures answer for the concrete
+system.  ``preach`` is read by :mod:`rmc.abstraction` alone, which runs the
+same procedures on a copy of the system whose ``reach`` is the supplied
+``preach``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from . import graph
 from .alphabet import PAD, Alphabet, Word, unconvolve
 from .errors import AlphabetMismatch, MissingRelation, PaddingViolation
-from .nfa import Nfa
+from .nfa import LazyNfa, Nfa
 from .transducer import Transducer, identity
 
 
@@ -151,8 +152,13 @@ class Rts:
         return self.reach
 
     def reachable_set(self) -> Nfa:
-        """Image of the initial language under reach, built on each call."""
+        """Image of the initial language under reach, built on each call;
+        only the growth route of ``egf`` reads it built."""
         return self.relation().post_image(self.initial)
+
+    def lazy_reachable_set(self) -> LazyNfa:
+        """The reachable set explored only where a search steps it."""
+        return self.relation().lazy_post_image(self.initial)
 
     def terminating(self) -> Nfa:
         """Configurations with no successor: the complement of dom(delta),
@@ -223,6 +229,6 @@ class Rts:
             checks += inclusion_checks(self.reach, (
                 ("identity-within-reach", identity(self.alphabet)),
                 ("delta-within-reach", self.delta),
-                ("reach-closed-under-delta", self.reach.compose(self.delta)),
+                ("reach-closed-under-delta", self.reach.lazy_compose(self.delta)),
             ))
         return ValidationReport(tuple(checks))

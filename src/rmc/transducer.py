@@ -16,7 +16,7 @@ whose words have ended; an image of an n-state language under an l-state
 transducer has at most (n + 1) * l.  Projection and composition assume
 padding-valid operands, which loading checks.
 
-Both images and round trips also come lazily, for a search
+Both images, composition and round trips also come lazily, for a search
 (:func:`rmc.nfa._lazy_product`).  Built or lazy, a product moves by
 :func:`rmc.nfa._node_moves` and a pair accepts when moves writing only #
 lead it to (DONE, DONE): padding is defined once for both.  Each
@@ -205,6 +205,11 @@ class Transducer(Nfa):
             )
         start, middles = start_pairs(self, other), self.bottom.symbols + (PAD,)
         return _moves_by_middle(self, 1), _moves_by_middle(other, 0), start, middles, 0
+
+    def lazy_compose(self, other: "Transducer") -> LazyNfa:
+        """The untrimmed relation of :meth:`compose`, explored lazily."""
+        alphabet = _pair_alphabet(self.top, other.bottom, self.alphabet, other.alphabet)
+        return _lazy_product(alphabet, *self._composition(other))
 
     def lazy_round_trip(self, other: "Transducer") -> LazyNfa:
         """{x : some y with (x, y) in self and (y, x) in other}, explored

@@ -175,19 +175,21 @@ def random_alphabet(rng: random.Random) -> Alphabet:
 
 
 def random_lp_rts(rng: random.Random, with_reach: bool = True, max_length: int = 4):
-    """A random length-preserving system with exact Reach synthesized from
-    its slices, as (rts, goal)."""
+    """A random length-preserving system, as (rts, goal); with ``with_reach``
+    its exact reach, synthesized from its slices, serves as reach and
+    preach.  The slicing draws nothing from ``rng``, so a seed gives the
+    same system and goal either way."""
     alphabet = random_alphabet(rng)
     delta = random_lp_transducer(rng, alphabet)
     initial = random_word_nfa(rng, alphabet, max_length)
+    goal = random_nfa(rng, alphabet, max_states=4)
+    if not with_reach:
+        return Rts(initial, delta), goal
     bare = Rts(initial, delta)
     pairs = set()
     for n in range(1, max_length + 1):
         pairs |= slice_closure(build_slice(bare, n))
     reach = relation_to_transducer(alphabet, pairs)
-    goal = random_nfa(rng, alphabet, max_states=4)
-    if not with_reach:
-        return Rts(initial, delta), goal
     return Rts(initial, delta, reach=reach, preach=reach), goal
 
 

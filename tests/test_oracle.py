@@ -226,6 +226,23 @@ def test_oracle_witnesses_replay_and_are_pinned():
     assert digest.hexdigest() == _WITNESS_DIGEST
 
 
+@pytest.mark.parametrize(
+    "seed, count, max_length", [(61, 20, 3), (67, 15, 3), (31, 10, 3), (2525, 60, 4)]
+)
+def test_random_systems_are_the_same_without_reach(seed, count, max_length):
+    """``random_lp_rts`` draws the same system and goal, and leaves its
+    generator in the same state, whether or not it synthesizes reach: the
+    seeded streams of the tests that skip reach are the ones they had when
+    the helper built it and threw it away."""
+    bare_rng, full_rng = random.Random(seed), random.Random(seed)
+    for _ in range(count):
+        bare, bare_goal = random_lp_rts(bare_rng, with_reach=False, max_length=max_length)
+        full, full_goal = random_lp_rts(full_rng, max_length=max_length)
+        assert (bare.initial, bare.delta, bare.reach) == (full.initial, full.delta, None)
+        assert bare_goal == full_goal
+        assert bare_rng.getstate() == full_rng.getstate()
+
+
 def test_slice_closure_laws():
     rng = random.Random(61)
     for _ in range(20):

@@ -20,6 +20,7 @@ from rmc import (
     Rts,
     Verdict,
     Witness,
+    abstract_as_liveness,
     check_af_bounded,
     check_agf_bounded,
     check_as_f_bounded,
@@ -433,8 +434,9 @@ def test_growth_route_answers_as_the_reference_route(tmp_path):
 
 
 def test_egf_builds_the_reachable_set_once(monkeypatch):
-    """On succ-walk the cycle route fails and the growth route holds; both
-    read one reachable set."""
+    """On succ-walk the cycle route fails and the growth route holds; the
+    growth route alone builds the reachable set, once, and every other
+    check only searches it."""
     rts = load_rts_bundle(DATA / "succ-walk" / "bundle.rts")
     goal = load_automaton(DATA / "succ-walk" / "all.nfa")
     built = []
@@ -448,6 +450,53 @@ def test_egf_builds_the_reachable_set_once(monkeypatch):
     verdict = check_egf(rts, goal)
     assert verdict.holds and verdict.witness.kind == "clique-prefix"
     assert built == [rts]
+    for name, prop in PROPERTIES.items():
+        if name not in ("egf", "egf-clique") and not prop.bounded:
+            run_check(rts, name, goal)
+    assert built == [rts]
+
+
+def _outcome(check, *args):
+    """The verdict of ``check(*args)``, or the type and text of the error
+    it raises."""
+    try:
+        return check(*args)
+    except RmcError as err:
+        return type(err), str(err)
+
+
+def _searched_checks(rts, goal):
+    """Every check that searches the reachable set, by name, with its
+    outcome on ``rts`` and ``goal``."""
+    outcomes = {
+        name: _outcome(run_check, rts, name, goal)
+        for name, prop in PROPERTIES.items()
+        if not prop.bounded
+    }
+    if rts.preach is not None:
+        pre = rts.preach.pre_image(goal)
+        outcomes["abstract-as-gf"] = _outcome(abstract_as_liveness, rts, goal, pre)
+    return outcomes
+
+
+def test_lazy_reachable_set_answers_as_the_built_one(monkeypatch):
+    """Searching the reachable set lazily gives every check the verdict,
+    witness and note that searching the built set gives: on a seeded stream
+    of length-preserving systems, on ``_growing_rts`` seeds 0-199, and on
+    every shipped bundle with each of its languages as goal."""
+    rng = random.Random(2626)
+    cases = [random_lp_rts(rng) for _ in range(100)]
+    cases += [_growing_rts(seed) for seed in range(200)]
+    for bundle in sorted(DATA.iterdir()):
+        rts = load_rts_bundle(bundle / "bundle.rts")
+        cases += [(rts, load_automaton(goal)) for goal in sorted(bundle.glob("*.nfa"))]
+    lazy = [_searched_checks(rts, goal) for rts, goal in cases]
+    monkeypatch.setattr(Rts, "lazy_reachable_set", Rts.reachable_set)
+    built = [_searched_checks(rts, goal) for rts, goal in cases]
+    for k, (by_lazy, by_built) in enumerate(zip(lazy, built)):
+        assert by_lazy == by_built, k
+    answered = [v for outcomes in lazy for v in outcomes.values() if isinstance(v, Verdict)]
+    assert sum(v.witness is not None for v in answered) > 900
 
 
 def test_chain_into_the_goal_is_one_composition():

@@ -495,8 +495,10 @@ def _same_words(name, lazy, reference, alphabet, up_to=5):
 def test_lazy_sides_accept_what_the_built_automata_accept():
     """The lazy images, domain and round trip accept, word for word up to
     length 5, what ``pre_image``, ``post_image``, ``project(1)`` and the
-    projected ``intersect`` with the inverse accept, on padded and growing
-    relations as well as letter-to-letter ones."""
+    projected ``intersect`` with the inverse accept, and the lazy
+    composition accepts what ``compose`` does, pair word for pair word up
+    to length 3, on padded and growing relations as well as
+    letter-to-letter ones."""
     rng = random.Random(71)
     cases = [
         (f"random {i}", [t, r], [random_nfa(rng, t.top, max_states=4)])
@@ -513,6 +515,8 @@ def test_lazy_sides_accept_what_the_built_automata_accept():
             for r in relations:
                 both = t.intersect(r.inverse()).project(1)
                 _same_words(name, t.lazy_round_trip(r), both, alphabet)
+                composed = t.compose(r)
+                _same_words(name, t.lazy_compose(r), composed, composed.alphabet, up_to=3)
 
 
 def _subset_count(side, alphabet) -> int:
@@ -536,13 +540,15 @@ def test_lazy_sides_count_their_subsets_against_the_state_cap(monkeypatch):
     rng = random.Random(73)
     checked = 0
     for t, r in _lazy_cases(rng, 30):
-        never = Nfa(t.top, (0,), {(0, a): (0,) for a in t.top.symbols}, [0], [])
         for side in (
             t.lazy_pre_image(random_nfa(rng, t.top, max_states=4)),
             t.lazy_round_trip(r),
             t.lazy_post_image(random_nfa(rng, t.top, max_states=4)),
+            t.lazy_compose(r),
         ):
-            count = _subset_count(side, t.top)
+            symbols = side.alphabet.symbols
+            never = Nfa(side.alphabet, (0,), {(0, a): (0,) for a in symbols}, [0], [])
+            count = _subset_count(side, side.alphabet)
             if count < 2:
                 continue
             checked += 1
