@@ -23,7 +23,7 @@ from . import graph
 from .alphabet import Alphabet, PairAlphabet, Word
 from .errors import CapExceeded, NotLengthPreserving, SuccessorCapExceeded
 from .nfa import Nfa
-from .rts import Rts
+from .rts import Rts, Stepper
 from .transducer import Transducer
 from .verdict import Witness
 
@@ -105,8 +105,10 @@ def build_slice(
 
 
 def slice_walk(rts: Rts, roots, cap: int, target: Word | None = None) -> tuple[dict, dict]:
-    """Breadth-first from ``roots`` through :meth:`Rts.successors`, each
-    in alphabet order, until ``target`` is found: ``(parents, successors)``
+    """Breadth-first from ``roots`` through the successors of one
+    :class:`~rmc.rts.Stepper`, each in alphabet order, until ``target`` is
+    found; the stepper keeps its prefix levels and decoded words for this
+    walk alone.  ``(parents, successors)``
     map each configuration found to the one it was first found from (None
     for a root) and each one stepped to its successors.  Raises
     :class:`CapExceeded` when ``roots`` is None (``words_of_length`` found
@@ -117,12 +119,13 @@ def slice_walk(rts: Rts, roots, cap: int, target: Word | None = None) -> tuple[d
         raise CapExceeded(over_cap)
     parents = dict.fromkeys(roots)
     successors: dict = {}
+    stepper = Stepper(rts)
     # ``order`` grows while it is walked, which makes this breadth-first
     order = list(parents)
     for config in order:
         if target in parents:
             break
-        successors[config], truncated = rts.successors(config, cap)
+        successors[config], truncated = stepper(config, cap)
         if truncated or len(parents) > cap:
             raise CapExceeded(over_cap)
         for successor in successors[config]:
@@ -358,8 +361,10 @@ def simulate(
     index, or is absorbed at a terminating configuration; a run that has
     moved ``max_steps`` times stops unabsorbed.  Configurations are
     numbered as they are found, and their successors listed once, when a
-    run first steps from them; more than ``Rts.DEFAULT_SUCCESSOR_CAP`` of
-    them is an error rather than a silently biased sample.  Draws come in
+    run first steps from them, by one :class:`~rmc.rts.Stepper` that keeps
+    its prefix levels and decoded words until the call returns; more than
+    ``Rts.DEFAULT_SUCCESSOR_CAP`` of them is an error rather than a
+    silently biased sample.  Draws come in
     blocks, a row per step and a column per run; run j always reads column
     j, so its walk does not depend on when other runs are absorbed.  Of d
     successors a draw u, uniform below ``_SPAN``, picks ``u // w`` where
@@ -378,6 +383,7 @@ def simulate(
     if goal is not None and goal.alphabet != rts.alphabet:
         raise ValueError("goal alphabet differs from the system alphabet")
     rng = np.random.default_rng(config.seed)
+    stepper = Stepper(rts)
     words, ids = [start], {start: 0}
     # by configuration id: where its successors start in ``flat``, the width
     # w of a pick (0 at a dead end) and whether it is a goal; -1 until needed
@@ -397,7 +403,7 @@ def simulate(
         if settled < len(words) and width.min() <= 0:
             misses, lists = sorted(set(cur[width < 0].tolist())), []
             for i in misses:
-                out, truncated = rts.successors(words[i], Rts.DEFAULT_SUCCESSOR_CAP)
+                out, truncated = stepper(words[i], Rts.DEFAULT_SUCCESSOR_CAP)
                 if truncated:
                     raise SuccessorCapExceeded(
                         f"configuration {' '.join(words[i]) or 'ε'} has more successors "

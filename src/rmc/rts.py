@@ -9,7 +9,11 @@ that a claimed ``reach`` holds no pair beyond the reflexive-transitive
 closure of the step relation.
 
 An :class:`Rts` holds its automata and nothing derived from them; what
-derives from ``delta`` alone is kept on that transducer.
+derives from ``delta`` alone is kept on that transducer.  A
+:class:`Stepper` lists the successors of the configurations of one walk,
+and keeps for that walk alone the level after each top-track prefix it
+has read and the word each bottom-track code decodes to;
+:meth:`Rts.successors` is a stepper used once.
 
 :meth:`Rts.relation` and the reachable set, lazy for a search or built,
 read ``reach`` only, so the decision procedures answer for the concrete
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from . import graph
 from .alphabet import PAD, Alphabet, Word, unconvolve
 from .errors import AlphabetMismatch, MissingRelation, PaddingViolation
-from .nfa import LazyNfa, Nfa
+from .nfa import LazyNfa, Nfa, _Memo
 from .transducer import Transducer, identity
 
 
@@ -61,7 +65,7 @@ def inclusion_checks(relation: Transducer, named) -> tuple[CheckResult, ...]:
 
 
 def _successor_index(delta: Transducer) -> tuple:
-    """The trimmed step transducer for :meth:`Rts.successors`: a memoized
+    """The trimmed step transducer for a :class:`Stepper`: a memoized
     ``step(level, a)`` that reads top symbol ``a`` (# included) into a map
     from bottom-track prefix codes to the states they reach, the bits per
     digit of a code, its decoder, the initial and final states, and whether
@@ -169,32 +173,11 @@ class Rts:
         """Direct successors in shortest-then-alphabet order.
 
         Returns ``(words, truncated)``; ``truncated`` reports that more
-        than ``cap`` successors exist.  Runs the trimmed step transducer
-        with ``config`` on the top track, keeping each bottom-track prefix
-        with the states it reaches: a bottom track that pads early gives a
-        shorter successor, and ``(#, b)`` moves after the top track ends
-        give longer ones.  This assumes a padding-valid step transducer,
-        which bundle loading guarantees and :meth:`validate` reports.
+        than ``cap`` successors exist.  This is a :class:`Stepper` used
+        once; a walk makes one stepper for all its configurations, which
+        keeps its prefix levels and decoded words until the walk ends.
         """
-        cap = self.DEFAULT_SUCCESSOR_CAP if cap is None else cap
-        self.alphabet.check_word(config)
-        # derived from delta alone, so kept on it like its product indexes
-        index = self.delta._derive("successors", lambda: _successor_index(self.delta))
-        step, bits, decode, start, final, growing = index
-        # ``least`` is the least code as long as the top track read so far
-        level, least = {0: start}, 0
-        for a in config:
-            level, least = step(level, a), least << bits | 1
-            if not level:
-                return (), False
-        found = sorted(code for code, states in level.items() if states & final)
-        if growing:
-            # after the top track, (#, b) moves extend the unpadded prefixes
-            longer = {code: states for code, states in level.items() if code >= least}
-            while longer and len(found) <= cap:
-                longer = step(longer, PAD)
-                found.extend(sorted(code for code, states in longer.items() if states & final))
-        return tuple(map(decode, found[:cap])), len(found) > cap
+        return Stepper(self)(config, cap)
 
     def validate(self) -> ValidationReport:
         """Necessary structural checks; cannot prove a reach relation exact.
@@ -232,3 +215,59 @@ class Rts:
                 ("reach-closed-under-delta", self.reach.lazy_compose(self.delta)),
             ))
         return ValidationReport(tuple(checks))
+
+
+class Stepper:
+    """The successors of the configurations of one walk.
+
+    Runs the trimmed step transducer with a configuration on the top track,
+    keeping each bottom-track prefix with the states it reaches: a bottom
+    track that pads early gives a shorter successor, and ``(#, b)`` moves
+    after the top track ends give longer ones.  This assumes a
+    padding-valid step transducer, which bundle loading guarantees and
+    :meth:`Rts.validate` reports.
+
+    Configurations of one walk share most of their prefixes, so a stepper
+    keeps, for as long as it lives, the level reached after each top-track
+    prefix it has read, in a trie keyed by symbol (a level depends only on
+    its prefix), and the word each bottom-track code decodes to (no digit
+    is 0, so a code names one word).  A walk makes one stepper and drops it
+    when it ends; nothing it keeps outlives it.
+    """
+
+    __slots__ = ("_alphabet", "_step", "_bits", "_final", "_growing", "_root", "_words")
+
+    def __init__(self, rts: Rts):
+        self._alphabet = rts.alphabet
+        # derived from delta alone, so kept on it like its product indexes
+        index = rts.delta._derive("successors", lambda: _successor_index(rts.delta))
+        self._step, self._bits, decode, start, self._final, self._growing = index
+        # a trie node: the level after its prefix, and its children by symbol
+        self._root = ({0: start}, {})
+        self._words = _Memo(decode)
+
+    def __call__(self, config: Word, cap: int | None = None) -> tuple[tuple[Word, ...], bool]:
+        """The successors of ``config`` in shortest-then-alphabet order, at
+        most ``cap`` of them, and whether there are more."""
+        cap = Rts.DEFAULT_SUCCESSOR_CAP if cap is None else cap
+        self._alphabet.check_word(config)
+        step, final = self._step, self._final
+        level, children = self._root
+        for a in config:
+            node = children.get(a)
+            if node is None:
+                node = children[a] = (step(level, a), {})
+            level, children = node
+            if not level:
+                return (), False
+        found = sorted(code for code, states in level.items() if states & final)
+        if self._growing:
+            # after the top track, (#, b) moves extend the unpadded prefixes,
+            # whose codes are at least the least code as long as the top track
+            unit = 1 << self._bits
+            least = (unit ** len(config) - 1) // (unit - 1)
+            longer = {code: states for code, states in level.items() if code >= least}
+            while longer and len(found) <= cap:
+                longer = step(longer, PAD)
+                found.extend(sorted(code for code, states in longer.items() if states & final))
+        return tuple(map(self._words.__getitem__, found[:cap])), len(found) > cap

@@ -74,9 +74,10 @@ class Transducer(Nfa):
     """An :class:`Nfa` over the pair alphabet of two track alphabets.
 
     What is derived from a transducer alone (its product indexes, its
-    successor index, the complement of its domain, and its padding and
-    length checks) is kept on it (:meth:`Nfa._derive`), filled on first
-    use: like every automaton, a transducer never changes after construction.
+    successor index, its lazy domain, the complement of its domain, and
+    its padding and length checks) is kept on it (:meth:`Nfa._derive`),
+    filled on first use: like every automaton, a transducer never changes
+    after construction.
     """
 
     __slots__ = ()
@@ -255,8 +256,12 @@ class Transducer(Nfa):
         return _lazy_product(self.top, *self._pre_image(language))
 
     def lazy_domain(self) -> LazyNfa:
-        """The lazy pre-image of all words: the top track's domain."""
-        return self.lazy_pre_image(universal_automaton(self.bottom))
+        """The lazy pre-image of all words: the top track's domain.  Kept
+        on the transducer, like its indexes: for l states its product has
+        at most 2 * (l + 1) nodes, and each search determinizes it afresh."""
+        return self._derive(
+            "lazy-domain", lambda: self.lazy_pre_image(universal_automaton(self.bottom))
+        )
 
     def _pre_image(self, language: Nfa) -> tuple:
         """The operands of :func:`_product` for :meth:`pre_image`."""

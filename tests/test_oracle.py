@@ -458,6 +458,25 @@ def test_simulation_goal_hit_matches_the_exact_chance():
     assert abs(stats.goal_hit_frequency - exact) < 4 * math.sqrt(exact * (1 - exact) / runs)
 
 
+@pytest.mark.parametrize(
+    "bundle, start, runs, steps, hits",
+    [
+        ("herman-grow", "⟨••◦⟩", 20, 5, (0.9, 0.75, 0.85)),
+        ("herman-lp", "⟨••••••••⟩", 100, 20, (0.14, 0.16, 0.18)),
+    ],
+)
+def test_short_walks_give_their_recorded_statistics(bundle, start, runs, steps, hits):
+    # walks too short to meet the goal whatever is drawn, so their
+    # statistics depend on which walks are taken: recorded when each
+    # configuration was stepped afresh
+    data = DATA / bundle
+    rts, goal = load_rts_bundle(data / "bundle.rts"), load_automaton(data / "one-token.nfa")
+    for seed, hit in enumerate(hits):
+        config = SimulationConfig(runs=runs, max_steps=steps, seed=seed)
+        stats = simulate(rts, tuple(start), config, goal=goal)
+        assert stats == SimulationStats(runs, hit, 0.0, None), seed
+
+
 class _CraftedDraws:
     """A generator whose draws are given: each call to ``integers`` takes
     the next entry of ``draws`` and records the size it was asked for."""

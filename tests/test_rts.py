@@ -20,6 +20,8 @@ from rmc import (
     universal_automaton,
     word_automaton,
 )
+from rmc import oracle
+from rmc.rts import Stepper
 from support import (
     A,
     AB,
@@ -132,22 +134,71 @@ def test_successors_ordering_and_cap():
         simulate(append_any, ("a",), SimulationConfig(runs=1, max_steps=2))
 
 
-def test_successors_match_the_post_image():
-    # the direct run against the image of the one-word language, with caps
-    # small enough to truncate
+def _image_systems():
+    """120 seeded step relations over AB, every other one padded."""
     rng = random.Random(505)
     for i in range(120):
         if i % 2:
-            delta = random_padded_transducer(rng, AB, AB)
+            yield random_padded_transducer(rng, AB, AB)
         else:
-            delta = random_lp_transducer(rng, AB)
+            yield random_lp_transducer(rng, AB)
+
+
+_SHORT_CONFIGS = [c for n in range(6) for c in itertools.product(AB.symbols, repeat=n)]
+
+
+def test_successors_match_the_post_image():
+    # the direct run against the image of the one-word language, with caps
+    # small enough to truncate
+    for delta in _image_systems():
         rts = Rts(universal_automaton(AB), delta)
-        for n in range(6):
-            for config in itertools.product(AB.symbols, repeat=n):
-                image = delta.post_image(word_automaton(AB, config))
-                for cap in (1, 3, 50):
-                    words, truncated = image.enumerate_words(cap)
-                    assert rts.successors(config, cap) == (tuple(words), truncated)
+        for config in _SHORT_CONFIGS:
+            image = delta.post_image(word_automaton(AB, config))
+            for cap in (1, 3, 50):
+                words, truncated = image.enumerate_words(cap)
+                assert rts.successors(config, cap) == (tuple(words), truncated)
+
+
+def _walked(monkeypatch, rts, start, config):
+    """The configurations a ``simulate`` walk steps, in the order it steps them."""
+    stepped = []
+
+    class Recording(Stepper):
+        __slots__ = ()
+
+        def __call__(self, word, cap=None):
+            stepped.append(word)
+            return super().__call__(word, cap)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(oracle, "Stepper", Recording)
+        oracle.simulate(rts, start, config)
+    return stepped
+
+
+def test_one_stepper_steps_a_walk_as_the_reference_does(monkeypatch):
+    # a stepper keeps the levels of the prefixes it has read and the words
+    # it has decoded: whatever came before, every answer is the one-shot one
+    rng = random.Random(2727)
+    cases = [
+        (Rts(universal_automaton(AB), delta), _SHORT_CONFIGS, (1, 3, 50))
+        for delta in _image_systems()
+    ]
+    walks = [("herman-grow", "⟨••◦⟩", 40), ("succ-walk", "a", 12)]
+    for name, start, steps in walks:
+        rts = load_rts_bundle(DATA / name / "bundle.rts")
+        config = oracle.SimulationConfig(runs=20, max_steps=steps, seed=3)
+        configs = _walked(monkeypatch, rts, tuple(start), config)
+        assert len(set(configs)) == len(configs) >= steps
+        cases.append((rts, configs, (1, 3, None)))
+    for rts, configs, caps in cases:
+        stepper = Stepper(rts)
+        for _ in range(2):
+            asked = [(config, cap) for config in configs for cap in caps]
+            rng.shuffle(asked)
+            for config, cap in asked:
+                expected = successors_reference.successors(rts, config, cap)
+                assert stepper(config, cap) == expected, (config, cap)
 
 
 def _loose_transducer(rng: random.Random, alphabet: Alphabet) -> Transducer:
@@ -236,6 +287,7 @@ def test_reachable_set_and_terminating():
     assert not halted.accepts(("b", "a"))
     # derived from delta alone, so built once for every system on it
     assert shift_rts().terminating() is halted
+    assert shift_rts().delta.lazy_domain() is rts.delta.lazy_domain()
 
 
 def test_validate_flags_missing_identity():
