@@ -9,6 +9,10 @@ errors that need no subset construction are raised before validation, so
 they stay errors under any cap.  ``algebra`` prints an automaton instead,
 and a cap there is an error.
 
+Files are read on every call, but :mod:`rmc.formats` parses a text and
+validates a system once per process and state cap, so a repeated command
+mostly pays for its own work.
+
 Exit codes: 0 when the answer is Holds (or true) and for simulation
 statistics, 1 for Fails (or false), 2 for Unknown, and 3 for usage or
 input errors.
@@ -131,7 +135,8 @@ class _Loaded:
     the languages the command names, by option, and a ``constraint``
     command's interpretation.
 
-    The bundle file is parsed once.  The command's inputs are checked
+    The bundle file is parsed once per command, its members once per
+    process and state cap.  The command's inputs are checked
     (:func:`_check_inputs`, :func:`_interpretation`) before validation,
     which may stop at a state cap, so a cap never hides an input error.
     """

@@ -31,12 +31,18 @@ resolved relative to the bundle's own directory:
 ``reach:`` and ``preach:`` are optional.  Loading a bundle parses it and
 then validates it, raising BundleValidationError when any structural
 check fails; a caller can check its own inputs in between.
+
+A process keeps the last automata it parsed, by file text and raw
+``RMC_STATE_CAP``, and the last systems that passed validation, by their
+automata and that cap.  Files are read on every load, and a parse or a
+validation that raises keeps nothing.
 """
 
 from __future__ import annotations
 
+import os
 import re
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
 
 from .alphabet import PAD, Alphabet, pair
@@ -197,8 +203,29 @@ def parse_automaton(text: str) -> Nfa | Transducer:
     return result
 
 
+# how many parsed automata, and how many validated systems, a process keeps
+_KEPT = 64
+_parsed: OrderedDict = OrderedDict()
+_validated: OrderedDict = OrderedDict()
+
+
+def _kept(memo: OrderedDict, key, build):
+    """``build()``, or what it gave for ``key`` among the :data:`_KEPT` last
+    asked for.  Keys hold the raw ``RMC_STATE_CAP``, so an invalid one still
+    raises where a search reads it, after any input error."""
+    if key in memo:
+        memo.move_to_end(key)
+        return memo[key]
+    value = memo[key] = build()
+    if len(memo) > _KEPT:
+        memo.popitem(last=False)
+    return value
+
+
 def load_automaton(path: str | Path) -> Nfa | Transducer:
-    return parse_automaton(Path(path).read_text(encoding="utf-8"))
+    """The automaton a file holds, parsed once per text and state cap."""
+    text = Path(path).read_text(encoding="utf-8")
+    return _kept(_parsed, (text, os.environ.get("RMC_STATE_CAP")), lambda: parse_automaton(text))
 
 
 def _name_states(automaton: Nfa) -> dict:
@@ -252,10 +279,17 @@ _BUNDLE_KEYS = ("initial", "delta", "reach", "preach")
 
 def require_valid(rts: Rts) -> Rts:
     """``rts`` itself when every check of :meth:`Rts.validate` passes;
-    else raise BundleValidationError with the report."""
-    report = rts.validate()
-    if not report.ok:
-        raise BundleValidationError(report)
+    else raise BundleValidationError with the report.  The same automata
+    that passed under the same state cap pass again unchecked."""
+
+    def passed():
+        report = rts.validate()
+        if not report.ok:
+            raise BundleValidationError(report)
+        return report
+
+    key = (os.environ.get("RMC_STATE_CAP"), rts.initial, rts.delta, rts.reach, rts.preach)
+    _kept(_validated, key, passed)
     return rts
 
 

@@ -2,7 +2,9 @@
 
 All operations are pure: they build and return new automata, never mutate.
 An automaton is immutable after construction, so what it derives from
-itself alone, its search view or a transducer's indexes, is kept on it.
+itself alone, its search view or a transducer's indexes, is kept on it,
+and :mod:`rmc.formats` hands the same automaton to every load of one file
+text, so later commands of a process find it built.
 Reported witnesses (shortest accepted word, shortest inclusion
 counterexample) are always of minimal length with ties broken by alphabet
 order, so repeated runs produce identical output.  Every search for a

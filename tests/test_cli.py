@@ -648,12 +648,20 @@ _CAPPED = [
 ]
 
 
-@pytest.mark.parametrize("argv", _CAPPED, ids=[" ".join(argv[:2]) for argv in _CAPPED])
-def test_a_cap_anywhere_is_unknown_naming_the_command(capsys, monkeypatch, argv):
+@pytest.mark.parametrize("argv, warm", [
+    pytest.param(argv, warm, id=" ".join(argv[:2]) + (" warm" if warm else ""))
+    for warm in (False, True)
+    for argv in _CAPPED
+])
+def test_a_cap_anywhere_is_unknown_naming_the_command(capsys, monkeypatch, argv, warm):
     """From cap 1 up to the first cap that lets the command answer, it
     answers Unknown and names itself and the cap, whether the cap stops
-    the bundle's validation or the command's own work."""
+    the bundle's validation or the command's own work.  Warm, the same
+    command has answered once without a cap in this process first."""
     command = " ".join(argv[:2])
+    if warm:
+        monkeypatch.delenv("RMC_STATE_CAP", raising=False)
+        assert run(capsys, *argv)[0] in (0, 1)
     for cap in range(1, 65):
         monkeypatch.setenv("RMC_STATE_CAP", str(cap))
         code, out, err = run(capsys, *argv)

@@ -1,7 +1,10 @@
 """Text format round-trips and parse error reporting."""
 
+import contextlib
+import io
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +14,15 @@ import pytest
 from rmc import (
     BundleValidationError,
     DeterminismViolation,
+    PaddingViolation,
     ParseError,
     load_automaton,
     load_rts_bundle,
     parse_automaton,
     serialize_automaton,
 )
+from rmc import formats
+from rmc.cli import main
 from support import AB, random_nfa, random_padded_transducer
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data"
@@ -249,3 +255,114 @@ def test_shipped_bundles_load_and_validate(name):
     rts = load_rts_bundle(DATA / name / "bundle.rts")
     assert rts.validate().ok
     assert rts.length_preserving == (name in ("herman-lp", "toggle"))
+
+
+_A_ONCE = "type: nfa\nalphabet: a\nstates: p q\ninitial: p\nfinal: q\ntransitions:\np a q\n"
+_A_STAR = _NFA_A + "p a p\n"
+
+
+def test_a_file_is_parsed_once_per_text(tmp_path):
+    path = tmp_path / "x.nfa"
+    path.write_text(_A_ONCE)
+    first = load_automaton(path)
+    assert load_automaton(path) is first
+    (tmp_path / "copy.nfa").write_text(_A_ONCE)
+    assert load_automaton(tmp_path / "copy.nfa") is first
+    path.write_text(_A_STAR)
+    edited = load_automaton(path)
+    assert edited is not first
+    assert edited.accepts(("a", "a")) and not first.accepts(("a", "a"))
+    path.write_text(_A_ONCE)
+    assert load_automaton(path) is first
+
+
+def test_each_state_cap_parses_afresh(tmp_path, monkeypatch):
+    """The raw ``RMC_STATE_CAP`` string is part of the key, so what an
+    automaton derives under one cap is never read under another."""
+    path = tmp_path / "x.nfa"
+    path.write_text(_A_STAR)
+    monkeypatch.delenv("RMC_STATE_CAP", raising=False)
+    uncapped = load_automaton(path)
+    loaded = []
+    for cap in ("8", "08", "abc"):
+        monkeypatch.setenv("RMC_STATE_CAP", cap)
+        loaded.append(load_automaton(path))
+        assert load_automaton(path) is loaded[-1]
+    assert len({id(automaton) for automaton in (uncapped, *loaded)}) == 4
+    assert all(automaton == uncapped for automaton in loaded)
+
+
+_TRANSDUCER_A = (
+    "type: transducer\nalphabet-top: a\nalphabet-bottom: a\nstates: p q\ninitial: p\nfinal: q\n"
+    "transitions:\n"
+)
+
+
+@pytest.mark.parametrize("text, error", [
+    (_NFA_A + "p a\n", ParseError),
+    (
+        "type: nfa\ndeterministic: true\nalphabet: a\nstates: p q\ninitial: p q\nfinal: q\n"
+        "transitions:\n",
+        DeterminismViolation,
+    ),
+    (_TRANSDUCER_A + "p #/a q\nq a/a q\n", PaddingViolation),
+], ids=["parse error", "determinism violation", "padding violation"])
+def test_a_load_that_raises_raises_every_time(tmp_path, text, error):
+    path = tmp_path / "x.nfa"
+    path.write_text(text)
+    messages = []
+    for _ in range(3):
+        with pytest.raises(error) as info:
+            load_automaton(path)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert not any(key[0] == text for key in formats._parsed)
+
+
+def test_the_memo_keeps_its_bound(tmp_path):
+    path = tmp_path / "x.nfa"
+    loaded = []
+    for i in range(formats._KEPT + 3):
+        path.write_text(f"{_A_STAR}; file {i}\n")
+        loaded.append(load_automaton(path))
+    assert len(formats._parsed) == formats._KEPT
+    path.write_text(f"{_A_STAR}; file {formats._KEPT + 2}\n")
+    assert load_automaton(path) is loaded[-1]
+    path.write_text(f"{_A_STAR}; file 0\n")
+    assert load_automaton(path) is not loaded[0]
+    assert len(formats._parsed) == formats._KEPT
+
+
+def _command(*argv) -> tuple[int, str, str]:
+    """Exit code, standard output without its timing line, and standard error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    lines = [line for line in out.getvalue().splitlines() if not line.startswith("elapsed:")]
+    return code, "\n".join(lines), err.getvalue()
+
+
+def test_an_edited_bundle_member_is_answered_afresh(tmp_path):
+    """A bundle member rewritten between two commands of one process gives
+    the answer, or the validation error, a fresh process gives."""
+    shutil.copytree(DATA / "toggle", tmp_path / "toggle")
+    reach = tmp_path / "toggle" / "reach.t"
+    argv = ("check", "ef", "--rts", str(tmp_path / "toggle"), "--goal", "done")
+    holds = _command(*argv)
+    assert holds[0] == 0 and holds[1].startswith("VERDICT: HOLDS")
+    assert _command(*argv) == holds
+
+    exact = reach.read_text()
+    reach.write_text((tmp_path / "toggle" / "delta.t").read_text())
+    fresh = subprocess.run(
+        [sys.executable, "-m", "rmc.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(DATA.parents[1])),
+        capture_output=True,
+        text=True,
+    )
+    assert fresh.returncode == 3 and "identity-within-reach" in fresh.stderr
+    for _ in range(2):
+        assert _command(*argv) == (3, "", fresh.stderr)
+
+    reach.write_text(exact)
+    assert _command(*argv) == holds

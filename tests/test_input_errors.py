@@ -187,3 +187,15 @@ _ERRORS = [
 @pytest.mark.parametrize("observe, expected", _ERRORS)
 def test_each_input_error_names_itself(observe, expected):
     assert observe() == expected
+
+
+def test_an_input_error_comes_before_an_invalid_state_cap(tmp_path, monkeypatch):
+    """A goal file that does not parse is the error, whatever
+    ``RMC_STATE_CAP`` holds, on the first command and on a repeated one."""
+    goal = tmp_path / "goal.nfa"
+    goal.write_text("garbage\n")
+    monkeypatch.setenv("RMC_STATE_CAP", "abc")
+    for _ in range(2):
+        assert exit_and_error("check", "ef", "--rts", "toggle", "--goal", str(goal)) == usage(
+            "line 1: expected a 'key: value' line, got 'garbage'"
+        )
