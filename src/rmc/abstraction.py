@@ -99,13 +99,16 @@ def _potential(rts: Rts) -> Rts:
 
 def validate_preach(rts: Rts) -> ValidationReport:
     """Check the supplied potential-reachability relation is reflexive,
-    transitive, and contains the step relation."""
+    transitive, and contains the step relation.  The report is kept on
+    ``delta`` by ``preach``, as :meth:`Rts.validate` keeps its own."""
     potential = _potential(rts).relation()
-    return ValidationReport(inclusion_checks(potential, (
-        ("identity-within-preach", identity(rts.alphabet)),
-        ("delta-within-preach", rts.delta),
-        ("preach-transitive", potential.lazy_compose(potential)),
-    )))
+    return rts.delta._derive(("preach-validation", potential), lambda: ValidationReport(
+        inclusion_checks(potential, (
+            ("identity-within-preach", identity(rts.alphabet)),
+            ("delta-within-preach", rts.delta),
+            ("preach-transitive", potential.lazy_compose(potential)),
+        ))
+    ))
 
 
 def abstract_safety(rts: Rts, unsafe: Nfa) -> Verdict:

@@ -9,8 +9,10 @@ errors that need no subset construction are raised before validation, so
 they stay errors under any cap.  ``algebra`` prints an automaton instead,
 and a cap there is an error.
 
-Files are read on every call, but :mod:`rmc.formats` parses a text and
-validates a system once per process and state cap, so a repeated command
+Files are read on every call, but a process keeps two things: the
+automaton each file text parses to under each state cap
+(:mod:`rmc.formats`), and what each automaton derives, validation
+reports included (:meth:`rmc.nfa.Nfa._derive`).  So a repeated command
 mostly pays for its own work.
 
 Exit codes: 0 when the answer is Holds (or true) and for simulation

@@ -32,10 +32,11 @@ resolved relative to the bundle's own directory:
 then validates it, raising BundleValidationError when any structural
 check fails; a caller can check its own inputs in between.
 
-A process keeps the last automata it parsed, by file text and raw
-``RMC_STATE_CAP``, and the last systems that passed validation, by their
-automata and that cap.  Files are read on every load, and a parse or a
-validation that raises keeps nothing.
+A process keeps two things: the last automata it parsed, by file text
+and raw ``RMC_STATE_CAP`` (:func:`load_automaton`), and what each
+automaton derives (:meth:`~rmc.nfa.Nfa._derive`), the validation report
+of a bundle's relations included.  Files are read on every load, and a
+parse or a validation that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -203,29 +204,25 @@ def parse_automaton(text: str) -> Nfa | Transducer:
     return result
 
 
-# how many parsed automata, and how many validated systems, a process keeps
+# how many parsed automata a process keeps, the last asked for
 _KEPT = 64
 _parsed: OrderedDict = OrderedDict()
-_validated: OrderedDict = OrderedDict()
-
-
-def _kept(memo: OrderedDict, key, build):
-    """``build()``, or what it gave for ``key`` among the :data:`_KEPT` last
-    asked for.  Keys hold the raw ``RMC_STATE_CAP``, so an invalid one still
-    raises where a search reads it, after any input error."""
-    if key in memo:
-        memo.move_to_end(key)
-        return memo[key]
-    value = memo[key] = build()
-    if len(memo) > _KEPT:
-        memo.popitem(last=False)
-    return value
 
 
 def load_automaton(path: str | Path) -> Nfa | Transducer:
-    """The automaton a file holds, parsed once per text and state cap."""
+    """The automaton a file holds, parsed once per text and state cap.  The
+    key holds the raw ``RMC_STATE_CAP``, so what an automaton derives under
+    one cap is never read under another, and an invalid cap still raises
+    where a search reads it, after any input error."""
     text = Path(path).read_text(encoding="utf-8")
-    return _kept(_parsed, (text, os.environ.get("RMC_STATE_CAP")), lambda: parse_automaton(text))
+    key = (text, os.environ.get("RMC_STATE_CAP"))
+    if key in _parsed:
+        _parsed.move_to_end(key)
+    else:
+        _parsed[key] = parse_automaton(text)
+        if len(_parsed) > _KEPT:
+            _parsed.popitem(last=False)
+    return _parsed[key]
 
 
 def _name_states(automaton: Nfa) -> dict:
@@ -279,17 +276,10 @@ _BUNDLE_KEYS = ("initial", "delta", "reach", "preach")
 
 def require_valid(rts: Rts) -> Rts:
     """``rts`` itself when every check of :meth:`Rts.validate` passes;
-    else raise BundleValidationError with the report.  The same automata
-    that passed under the same state cap pass again unchecked."""
-
-    def passed():
-        report = rts.validate()
-        if not report.ok:
-            raise BundleValidationError(report)
-        return report
-
-    key = (os.environ.get("RMC_STATE_CAP"), rts.initial, rts.delta, rts.reach, rts.preach)
-    _kept(_validated, key, passed)
+    else raise BundleValidationError with the report, on every call."""
+    report = rts.validate()
+    if not report.ok:
+        raise BundleValidationError(report)
     return rts
 
 

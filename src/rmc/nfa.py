@@ -1,10 +1,11 @@
 """Nondeterministic finite automata with deterministic witness reporting.
 
 All operations are pure: they build and return new automata, never mutate.
-An automaton is immutable after construction, so what it derives from
-itself alone, its search view or a transducer's indexes, is kept on it,
-and :mod:`rmc.formats` hands the same automaton to every load of one file
-text, so later commands of a process find it built.
+A process keeps two things: the automaton each file text parses to
+(:mod:`rmc.formats`), and what each automaton derives, kept on it by
+:meth:`Nfa._derive`: its search view and product index, and on a step
+transducer the validation reports of the relations beside it.  Automata
+are immutable after construction, so nothing kept goes stale.
 Reported witnesses (shortest accepted word, shortest inclusion
 counterexample) are always of minimal length with ties broken by alphabet
 order, so repeated runs produce identical output.  Every search for a
@@ -129,8 +130,9 @@ class Nfa:
         self._pos = pos
 
     def _derive(self, key, build):
-        """The value ``build()`` derives from this automaton, built once.
-        ``_derived`` is unset until the first, so most automata carry none."""
+        """The value ``build()`` derives from this automaton, built once;
+        a build that raises, at a cap say, keeps nothing.  ``_derived`` is
+        unset until the first, so most automata carry none."""
         derived = getattr(self, "_derived", None)
         if derived is None:
             derived = self._derived = {}
@@ -555,12 +557,17 @@ _DONE_MOVE = ((PAD, (_DONE,)),)
 def _moves_of_language(language: Nfa) -> dict:
     """Index a word language as :func:`~rmc.transducer._moves_by_middle`
     indexes its identity relation: each move writes the symbol it reads,
-    so :func:`_product` reads a language as a transducer.  Built for each
-    product: a language keeps nothing."""
-    index: dict = {}
-    for (q, sym), dsts in language.transitions.items():
-        index.setdefault(q, {})[sym] = ((sym, dsts),)
-    return _with_done(index, language.final)
+    so :func:`_product` reads a language as a transducer.  Kept on the
+    language under a key no track index uses, so every product that reads
+    it shares one; products only read it."""
+
+    def build() -> dict:
+        index: dict = {}
+        for (q, sym), dsts in language.transitions.items():
+            index.setdefault(q, {})[sym] = ((sym, dsts),)
+        return _with_done(index, language.final)
+
+    return language._derive("language", build)
 
 
 def _with_done(index: dict, final) -> dict:

@@ -111,11 +111,6 @@ def check_egf_loop(rts: Rts, goal: Nfa) -> Verdict:
     finite length class.
     """
     _check_goal(rts, goal)
-    return _egf_loop(rts, goal)
-
-
-def _egf_loop(rts: Rts, goal: Nfa) -> Verdict:
-    """The cycle route, on a goal of the system's alphabet."""
     relation, reachable = rts.relation(), rts.lazy_reachable_set()
     config = constrained_search([reachable, goal, rts.delta.lazy_round_trip(relation)])
     if config is None:
@@ -144,18 +139,13 @@ def check_egf_clique(rts: Rts, goal: Nfa) -> Verdict:
     found.  Length-preserving systems have no growing chains at all, so
     they fail this route immediately.  One breadth-first walk finds the
     comb's entries and each comb node's edges; the witness follows the
-    comb in state order, so it is not a search's least word.
+    comb in state order, so it is not a search's least word.  Its chain
+    and the built reachable set are fresh and read by no other route, so
+    moves come from their transitions.
     """
     _check_goal(rts, goal)
     if rts.length_preserving:
         return fails(note="the growth route does not apply to length-preserving systems")
-    return _egf_clique(rts, goal)
-
-
-def _egf_clique(rts: Rts, goal: Nfa) -> Verdict:
-    """The growth route, on a goal of the system's alphabet.  Its chain
-    and the built reachable set are fresh and read by no other route, so
-    moves come from their transitions."""
     chain = rts.relation().compose(identity_on(goal))
     if chain.is_empty():
         return fails(note="no reachability pair lands in the goal")
@@ -242,11 +232,10 @@ def check_egf(rts: Rts, goal: Nfa) -> Verdict:
     """Can some run visit the goal infinitely often?  Tries the cycle
     route first, which searches the reachable set lazily, and the growth
     route second, which alone builds it."""
-    _check_goal(rts, goal)
-    by_loop = _egf_loop(rts, goal)
+    by_loop = check_egf_loop(rts, goal)
     if by_loop.holds or rts.length_preserving:
         return by_loop
-    by_clique = _egf_clique(rts, goal)
+    by_clique = check_egf_clique(rts, goal)
     return by_clique if by_clique.holds else fails(note=f"{by_loop.note}; {by_clique.note}")
 
 

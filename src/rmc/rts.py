@@ -9,7 +9,8 @@ that a claimed ``reach`` holds no pair beyond the reflexive-transitive
 closure of the step relation.
 
 An :class:`Rts` holds its automata and nothing derived from them; what
-derives from ``delta`` alone is kept on that transducer.  A
+derives from ``delta``, alone or with ``reach`` and ``preach`` as the
+validation report does, is kept on that transducer.  A
 :class:`Stepper` lists the successors of the configurations of one walk,
 and keeps for that walk alone the level after each top-track prefix it
 has read and the word each bottom-track code decodes to;
@@ -186,29 +187,29 @@ class Rts:
         length-preserving system has a length-preserving reach, and that a
         supplied reach contains the identity and the step relation and is
         closed under taking one more step.  Together the identity and the
-        closure make reach contain every run of the system.
+        closure make reach contain every run of the system.  The report
+        derives from the three transducers alone, so it is kept on
+        ``delta`` by ``reach`` and ``preach``.
         """
+        return self.delta._derive(("validation", self.reach, self.preach), self._validate)
+
+    def _validate(self) -> ValidationReport:
+        """The checks :meth:`validate` keeps, run afresh."""
         checks: list[CheckResult] = []
-
-        def padding_check(name: str, t: Transducer | None):
-            if t is None:
-                return
-            try:
-                t.validate_padding()
-                checks.append(CheckResult(f"{name}-padding", True))
-            except PaddingViolation:
-                checks.append(CheckResult(f"{name}-padding", False))
-
-        padding_check("delta", self.delta)
-        padding_check("reach", self.reach)
-        padding_check("preach", self.preach)
-
-        if self.reach is not None and self.length_preserving:
-            checks.append(
-                CheckResult("reach-length-preserving", self.reach.is_length_preserving())
-            )
+        for name, t in (("delta", self.delta), ("reach", self.reach), ("preach", self.preach)):
+            if t is not None:
+                try:
+                    t.validate_padding()
+                    passed = True
+                except PaddingViolation:
+                    passed = False
+                checks.append(CheckResult(f"{name}-padding", passed))
 
         if self.reach is not None:
+            if self.length_preserving:
+                checks.append(
+                    CheckResult("reach-length-preserving", self.reach.is_length_preserving())
+                )
             checks += inclusion_checks(self.reach, (
                 ("identity-within-reach", identity(self.alphabet)),
                 ("delta-within-reach", self.delta),

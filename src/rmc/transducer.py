@@ -19,11 +19,11 @@ padding-valid operands, which loading checks.
 Both images, composition and round trips also come lazily, for a search
 (:func:`rmc.nfa._lazy_product`).  Built or lazy, a product moves by
 :func:`rmc.nfa._node_moves` and a pair accepts when moves writing only #
-lead it to (DONE, DONE): padding is defined once for both.  Each
-transducer keeps its index for each track it is read by
-(:func:`_moves_by_middle`), so the products of one check with the same
-``reach`` and ``delta`` index them once; a language operand is indexed
-afresh for each product.
+lead it to (DONE, DONE): padding is defined once for both.  Past its
+file's parse, a process keeps of a transducer only what it derives, on
+it (:meth:`Nfa._derive`), such as its index for each track it is read by
+(:func:`_moves_by_middle`); a language keeps its own index too
+(:func:`rmc.nfa._moves_of_language`), so each product operand is indexed once.
 """
 
 from __future__ import annotations
@@ -73,11 +73,12 @@ def _pair_alphabet(top: Alphabet, bottom: Alphabet, *known: PairAlphabet) -> Pai
 class Transducer(Nfa):
     """An :class:`Nfa` over the pair alphabet of two track alphabets.
 
-    What is derived from a transducer alone (its product indexes, its
-    successor index, its lazy domain, the complement of its domain, and
-    its padding and length checks) is kept on it (:meth:`Nfa._derive`),
-    filled on first use: like every automaton, a transducer never changes
-    after construction.
+    What is derived from a transducer (its product indexes, its successor
+    index, its lazy domain, the complement of its domain, its padding and
+    length checks, and on a step transducer the validation reports of the
+    relations beside it) is kept on it (:meth:`Nfa._derive`), filled on
+    first use: like every automaton, a transducer never changes after
+    construction.
     """
 
     __slots__ = ()
@@ -143,6 +144,12 @@ class Transducer(Nfa):
         return True
 
     # -- relation algebra ----------------------------------------------------------
+
+    def complement(self, cap: int | None = None) -> "Transducer":
+        """The padding-valid pairs outside the relation, so the result loads
+        again: :meth:`Nfa.complement` under ``cap``, intersected with
+        :func:`universal`.  Deterministic, but not complete."""
+        return super().complement(cap).intersect(universal(self.top, self.bottom))
 
     def inverse(self) -> "Transducer":
         """Swap the two tracks; same states."""

@@ -31,6 +31,7 @@ from rmc import (
     universal_automaton,
     validate_preach,
 )
+from rmc import abstraction
 from rmc.oracle import build_slice, oracle_check
 from support import (
     AB,
@@ -167,6 +168,24 @@ def test_validate_preach():
 
     with pytest.raises(MissingRelation):
         validate_preach(Rts(words_nfa(AB, {("a",)}), toggle_rts().delta))
+
+
+def test_a_preach_report_is_kept_on_delta(monkeypatch):
+    """validate_preach keeps its report on delta by preach, as
+    Rts.validate keeps its own: another initial language or reach reads
+    it without a search."""
+    searches = []
+    checks = abstraction.inclusion_checks
+    monkeypatch.setattr(abstraction, "inclusion_checks", lambda relation, named: (
+        searches.append(relation) or checks(relation, named)
+    ))
+    rts = toggle_rts()
+    report = validate_preach(rts)
+    again = validate_preach(Rts(universal_automaton(AB), rts.delta, preach=rts.preach))
+    assert again is report and len(searches) == 1
+    assert rts.delta._derived["preach-validation", rts.preach] is report
+    assert validate_preach(Rts(rts.initial, rts.delta, preach=identity(AB))) is not report
+    assert len(searches) == 2
 
 
 def test_abstract_safety():

@@ -1,5 +1,6 @@
 """End-to-end command line tests driven through ``rmc.cli.main``."""
 
+import itertools
 import json
 import os
 import re
@@ -9,7 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from rmc import PROPERTIES, CheckResult, Outcome, Report, parse_automaton, procedures
+from rmc import (
+    PROPERTIES,
+    CheckResult,
+    Outcome,
+    Report,
+    constrained_search,
+    length_automaton,
+    load_automaton,
+    parse_automaton,
+    procedures,
+)
 from rmc.cli import bundled_examples, main
 
 AB_WORD = """\
@@ -540,6 +551,57 @@ def test_algebra_project_and_inverse(tmp_path, capsys):
         assert run(capsys, "algebra", op, str(word)) == (
             3, "", f"error: {word}: {op} needs a transducer\n"
         )
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "src" / "rmc" / "data"
+
+
+def _algebra_cases():
+    """Each ``rmc algebra`` op on the shipped automata it applies to, as
+    (arguments after ``algebra``, what the same call gives in Python):
+    every ``.nfa`` and ``.t`` file is an input to every op its kind and
+    alphabet allow."""
+    shipped = {path: load_automaton(path) for path in sorted(SHIPPED.glob("*/*.nfa"))}
+    relations = {path: load_automaton(path) for path in sorted(SHIPPED.glob("*/*.t"))}
+    languages = dict(shipped)
+    shipped.update(relations)
+    for path, automaton in shipped.items():
+        yield ("complement", path), automaton.complement()
+    for group in (languages, relations):
+        for (p, first), (q, second) in itertools.product(group.items(), repeat=2):
+            if first.alphabet == second.alphabet:
+                yield ("union", p, q), first.union(second)
+                yield ("intersect", p, q), first.intersect(second)
+    for (p, first), (q, second) in itertools.product(relations.items(), repeat=2):
+        if first.bottom == second.top:
+            yield ("compose", p, q), first.compose(second)
+    for (p, t), (q, language) in itertools.product(relations.items(), languages.items()):
+        if language.alphabet == t.top:
+            yield ("image", p, q), t.post_image(language)
+        if language.alphabet == t.bottom:
+            yield ("image", p, q, "--direction", "pre"), t.pre_image(language)
+    for p, t in relations.items():
+        yield ("project", p), t.project(1)
+        yield ("project", p, "--track", "2"), t.project(2)
+        yield ("inverse", p), t.inverse()
+
+
+def test_every_algebra_result_loads_again(capsys):
+    """What each ``rmc algebra`` op writes parses back to an automaton of
+    the result's kind and alphabet that accepts the same words up to
+    length 4.  A transducer's complement keeps only padding-valid pairs,
+    so it loads too."""
+    ops = set()
+    for argv, expected in _algebra_cases():
+        code, out, err = run(capsys, "algebra", *map(str, argv))
+        assert (code, err) == (0, ""), argv
+        loaded = parse_automaton(out)
+        assert type(loaded) is type(expected) and loaded.alphabet == expected.alphabet, argv
+        upto_4 = length_automaton(expected.alphabet, 4, upto=True)
+        for one, other in ((loaded, expected), (expected, loaded)):
+            assert constrained_search([one, upto_4], [other]) is None, argv
+        ops.add((argv[0], len(argv)))
+    assert len(ops) == 9
 
 
 def test_constraint_inductive_failure(capsys):

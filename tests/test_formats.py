@@ -333,6 +333,22 @@ def test_the_memo_keeps_its_bound(tmp_path):
     assert len(formats._parsed) == formats._KEPT
 
 
+def test_a_failed_validation_raises_on_every_load(tmp_path):
+    """The failed report is kept on delta like a passed one, and every
+    load that reads it raises with the same message."""
+    shutil.copytree(DATA / "toggle", tmp_path / "toggle")
+    bundle = tmp_path / "toggle" / "bundle.rts"
+    (tmp_path / "toggle" / "reach.t").write_text((tmp_path / "toggle" / "delta.t").read_text())
+    messages = []
+    for _ in range(3):
+        with pytest.raises(BundleValidationError) as info:
+            load_rts_bundle(bundle)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1 and "identity-within-reach" in messages[0]
+    rts = formats.read_rts_bundle(bundle)
+    assert rts.delta._derived["validation", rts.reach, rts.preach] is rts.validate()
+
+
 def _command(*argv) -> tuple[int, str, str]:
     """Exit code, standard output without its timing line, and standard error."""
     out, err = io.StringIO(), io.StringIO()

@@ -13,6 +13,7 @@ from rmc import (
     CheckResult,
     MissingRelation,
     Rts,
+    StateCapExceeded,
     SuccessorCapExceeded,
     Transducer,
     identity,
@@ -21,6 +22,7 @@ from rmc import (
     word_automaton,
 )
 from rmc import oracle
+from rmc import rts as rts_module
 from rmc.rts import Stepper
 from support import (
     A,
@@ -313,6 +315,41 @@ def test_validate_flags_reach_not_closed_under_delta():
     report = rts.validate()
     assert [c.name for c in report.failed] == ["reach-closed-under-delta"]
     assert report.failed[0].counterexample == (("a",), ("c",))
+
+
+def _chain():
+    """a -> b -> c on one-letter words."""
+    return mk_t(ABC, ABC, [("s", "a/b", "t"), ("s", "b/c", "t")], ["s"], ["t"])
+
+
+def test_a_validation_report_is_kept_on_delta(monkeypatch):
+    """The report derives from delta, reach and preach alone, so it is kept
+    on delta by the other two: a system with another initial language
+    reads it without a search, another preach gets its own, and checks
+    that meet the state cap keep nothing."""
+    searches = []
+    checks = rts_module.inclusion_checks
+    monkeypatch.setattr(rts_module, "inclusion_checks", lambda relation, named: (
+        searches.append(relation) or checks(relation, named)
+    ))
+    monkeypatch.delenv("RMC_STATE_CAP", raising=False)
+    delta = _chain()
+    reach = identity(ABC).union(delta)
+    report = Rts(words_nfa(ABC, {("a",)}), delta, reach=reach).validate()
+    assert Rts(universal_automaton(ABC), delta, reach=reach).validate() is report
+    assert delta._derived["validation", reach, None] is report and not report.ok
+    assert len(searches) == 1
+    other = Rts(universal_automaton(ABC), delta, reach=reach, preach=reach).validate()
+    assert other is not report and len(searches) == 2
+
+    capped = Rts(universal_automaton(ABC), _chain(), reach=reach)
+    monkeypatch.setenv("RMC_STATE_CAP", "1")
+    for _ in range(2):
+        with pytest.raises(StateCapExceeded):
+            capped.validate()
+    assert ("validation", reach, None) not in capped.delta._derived
+    monkeypatch.delenv("RMC_STATE_CAP")
+    assert capped.validate() == report and len(searches) == 5
 
 
 def test_validate_rejects_reach_missing_one_pair():

@@ -25,6 +25,7 @@ from rmc import (
     length_automaton,
     load_automaton,
     load_rts_bundle,
+    nfa,
     relation_difference_identity,
     transducer,
     universal,
@@ -447,6 +448,19 @@ def test_diagonal_and_difference_identity():
         assert relation(strict) == {(x, y) for (x, y) in rel if x != y}
 
 
+def test_complement_is_the_padding_valid_pairs_outside():
+    """A transducer's complement is padding-valid and relates exactly the
+    pairs it does not, up to length 3, on padded relations as well as
+    letter-to-letter ones; removing the identity keeps its meaning."""
+    rng = random.Random(83)
+    for t, _other in _lazy_cases(rng, 12):
+        complement = t.complement()
+        complement.validate_padding()
+        rel = relation(t)
+        assert relation(complement) == relation(universal(t.top, t.bottom)) - rel
+        assert relation(relation_difference_identity(t)) == {(x, y) for x, y in rel if x != y}
+
+
 def test_is_length_preserving():
     assert not SUCC.is_length_preserving()
     assert identity(AB).is_length_preserving()
@@ -672,3 +686,52 @@ def test_shared_indexes_leak_nothing_between_products():
                 assert kept == transducer._index_by_middle(_fresh(side), middle)
         relations += 1
     assert relations > 100
+
+
+def _fresh_language(language):
+    """An equal language built anew, which holds no derived data yet."""
+    return Nfa(language.alphabet, language.states, language.transitions,
+               language.initial, language.final)
+
+
+def test_a_language_keeps_the_index_every_product_reads(monkeypatch):
+    """A language keeps its product index as a relation keeps its own.
+    Every product on one shared language, images and intersections alike,
+    equals the same product on fresh equal copies (a lazy one accepts the
+    same words up to length 4); each language is indexed at most once
+    however many products read it, and the kept index is the one
+    :func:`rmc.nfa._moves_of_language` hands out, equal to a fresh build."""
+    built = []
+    index_once = nfa._with_done
+
+    def counted(index, final):
+        built.append(index)
+        return index_once(index, final)
+
+    monkeypatch.setattr(nfa, "_with_done", counted)
+    ops = [
+        ("post", lambda x, lang, other: x.post_image(lang)),
+        ("pre", lambda x, lang, other: x.pre_image(lang)),
+        ("lazy post", lambda x, lang, other: x.lazy_post_image(lang)),
+        ("lazy pre", lambda x, lang, other: x.lazy_pre_image(lang)),
+        ("intersect", lambda x, lang, other: lang.intersect(other)),
+    ]
+    languages_seen = 0
+    for t, _partner, languages in _shared_cases():
+        cases = [(name, op, lang, other) for name, op in ops
+                 for lang in languages for other in languages]
+        built.clear()
+        shared = [op(t, lang, other) for _name, op, lang, other in cases]
+        assert len(built) <= len(languages)
+        for lang in languages:
+            kept = lang._derived["language"]
+            assert kept is nfa._moves_of_language(lang)
+            assert kept == nfa._moves_of_language(_fresh_language(lang))
+        for (name, op, lang, other), result in zip(cases, shared):
+            fresh = op(_fresh(t), _fresh_language(lang), _fresh_language(other))
+            if isinstance(result, Nfa):
+                assert result == fresh, name
+            else:
+                _same_words(name, result, fresh, t.top, up_to=4)
+        languages_seen += len(languages)
+    assert languages_seen > 400
